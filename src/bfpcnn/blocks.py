@@ -1,6 +1,6 @@
 """Composite blocks: inception (multi-scale parallel convolutions), single-head
-self-attention over spatial positions, multi-dilation spatial attention,
-residual blocks, and their granular-feature composition."""
+self-attention over spatial positions, multi-dilation spatial attention and
+residual blocks."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChannelMismatch, DimMismatch, ShapeChange
+from .errors import DimMismatch, ShapeChange
 from .layers import (
     BatchNormParams,
     Conv2DParams,
@@ -244,33 +244,3 @@ def residual_block(x: Tensor, params: ResidualBlockParams, mode: Mode) -> Tensor
     if inner.shape != x.shape:
         raise ShapeChange(f"residual path changed {x.shape} to {inner.shape}")
     return relu(x + inner)
-
-
-@dataclass
-class GranularParams:
-    """Four same-padded convolutions at kernel sizes 1/3/5/7 feeding a
-    residual block over their concatenation."""
-
-    branches: list[Conv2DParams]
-    residual: ResidualBlockParams
-    kernel_sizes: tuple[int, ...] = (1, 3, 5, 7)
-
-    @classmethod
-    def create(cls, rng: np.random.Generator, in_ch: int,
-               branch_filters: int) -> "GranularParams":
-        kernels = (1, 3, 5, 7)
-        branches = [Conv2DParams.create(rng, in_ch, branch_filters, k) for k in kernels]
-        residual = ResidualBlockParams.create(rng, branch_filters * len(kernels))
-        return cls(branches, residual, kernels)
-
-
-def granular_feature_integration(x: Tensor, params: GranularParams, mode: Mode) -> Tensor:
-    """Depth-concatenate the multi-scale branch outputs, then apply the
-    residual mapping to the combined feature space."""
-    if any(b.weights.shape[1] != x.shape[1] for b in params.branches):
-        raise ChannelMismatch("granular branch kernels do not match the input channels")
-    combined = None
-    for branch in params.branches:
-        y = conv2d(x, branch)
-        combined = y if combined is None else concat_depth(combined, y)
-    return residual_block(combined, params.residual, mode)

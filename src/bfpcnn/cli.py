@@ -29,8 +29,7 @@ from .preprocess import (
     DEFAULT_WINDOW,
     histogram_equalize,
     median_filter,
-    normalize,
-    preprocess_pipeline,
+    prepare,
     read_pgm,
     resize,
     write_pgm,
@@ -42,24 +41,7 @@ from .train import (
     confusion_matrix,
     evaluate,
     history_csv,
-    stratified_split,
     train,
-)
-
-DATA_ERRORS = (
-    errors.MissingClassDir,
-    errors.UnreadableImage,
-    errors.BadMagic,
-    errors.VersionMismatch,
-    errors.TruncatedFile,
-    errors.ShapeConflict,
-    errors.ShapeMismatch,
-    errors.ShapeUnderflow,
-    errors.EmptyClass,
-    errors.EmptyMatrix,
-    errors.LabelOutOfRange,
-    errors.LengthMismatch,
-    OSError,
 )
 
 
@@ -88,10 +70,7 @@ class RunSpec:
 
     @classmethod
     def from_kv(cls, kv: dict[str, str]) -> "RunSpec":
-        known = {"train.lr", "train.epochs", "train.batch", "train.optimizer",
-                 "train.seed", "train.val_fraction", "preprocess.full",
-                 "preprocess.window"}
-        unknown = [k for k in kv if not (k in known or k.startswith("model."))]
+        unknown = [k for k in kv if k not in _KNOWN_KEYS]
         if unknown:
             raise errors.ConfigError(f"unknown configuration keys: {sorted(unknown)}")
         model = ModelConfig.from_kv(kv)
@@ -110,6 +89,10 @@ class RunSpec:
         except ValueError as exc:
             raise errors.ConfigError(f"bad configuration value: {exc}") from exc
         return cls(model, train_cfg, full, window)
+
+
+_KNOWN_KEYS = frozenset(
+    RunSpec(ModelConfig(), TrainConfig(), False, DEFAULT_WINDOW).to_kv())
 
 
 def _parse_bool(raw: str) -> bool:
@@ -197,7 +180,7 @@ def main(argv=None) -> int:
     except errors.ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DATA_ERRORS as exc:
+    except (errors.DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -212,24 +195,24 @@ def cmd_gen(args) -> int:
 
 def cmd_preprocess(args) -> int:
     manifest = ingest(args.in_root)
-    out_root = Path(args.out)
     written = 0
-    for name in manifest.class_names:
-        (out_root / name).mkdir(parents=True, exist_ok=True)
-        if args.stages:
-            for stage in ("equalized", "filtered", "resized"):
-                (out_root / "stages" / stage / name).mkdir(parents=True, exist_ok=True)
-        for path in manifest.files[name]:
-            equalized = histogram_equalize(read_pgm(path))
-            filtered = median_filter(equalized, args.window)
-            resized = resize(filtered, args.target)
-            write_pgm(resized, out_root / name / path.name)
+    with _StagingDir(args.out) as out_root:
+        for name in manifest.class_names:
+            (out_root / name).mkdir()
             if args.stages:
-                write_pgm(equalized, out_root / "stages" / "equalized" / name / path.name)
-                write_pgm(filtered, out_root / "stages" / "filtered" / name / path.name)
-                write_pgm(resized, out_root / "stages" / "resized" / name / path.name)
-            written += 1
-    print(f"preprocessed {written} images into {out_root}")
+                for stage in ("equalized", "filtered", "resized"):
+                    (out_root / "stages" / stage / name).mkdir(parents=True)
+            for path in manifest.files[name]:
+                equalized = histogram_equalize(read_pgm(path))
+                filtered = median_filter(equalized, args.window)
+                resized = resize(filtered, args.target)
+                write_pgm(resized, out_root / name / path.name)
+                if args.stages:
+                    write_pgm(equalized, out_root / "stages" / "equalized" / name / path.name)
+                    write_pgm(filtered, out_root / "stages" / "filtered" / name / path.name)
+                    write_pgm(resized, out_root / "stages" / "resized" / name / path.name)
+                written += 1
+    print(f"preprocessed {written} images into {Path(args.out)}")
     return 0
 
 
@@ -287,27 +270,20 @@ def cmd_train(args) -> int:
     model = build_model(spec.model)
     report = train(model, dataset, spec.train)
 
-    split_rng = np.random.default_rng(np.random.SeedSequence(spec.train.seed).spawn(3)[0])
-    train_idx, val_idx = stratified_split(dataset.labels, spec.train.val_fraction,
-                                          split_rng)
-    preds, _ = evaluate(model, dataset.images[val_idx], dataset.labels[val_idx],
-                        spec.train.batch_size)
-    cm = confusion_matrix(preds, dataset.labels[val_idx], len(dataset.class_names))
-
     files = [path for path, _ in manifest.labelled_files()]
     with _StagingDir(args.out) as staging:
         _write_kv(staging / "config.txt", spec.to_kv())
         save_checkpoint(model, staging / "model.ckpt")
         (staging / "history.csv").write_text(history_csv(report.history))
-        _write_confusion_csvs(cm, dataset.class_names,
+        _write_confusion_csvs(report.confusion, dataset.class_names,
                               staging / "confusion.csv",
                               staging / "confusion_normalized.csv")
         (staging / "metrics.txt").write_text(
             _metrics_text(report, dataset.class_names))
         (staging / "train_files.txt").write_text(
-            "".join(f"{files[i]}\n" for i in train_idx))
+            "".join(f"{files[i]}\n" for i in report.train_idx))
         (staging / "val_files.txt").write_text(
-            "".join(f"{files[i]}\n" for i in val_idx))
+            "".join(f"{files[i]}\n" for i in report.val_idx))
     print(f"run complete: {args.out} (val accuracy {report.accuracy:.4f})")
     return 0
 
@@ -341,12 +317,8 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model, spec = _load_run(args.ckpt)
-    img = read_pgm(args.image)
-    if spec.preprocess_full:
-        processed = preprocess_pipeline(img, target=spec.model.input_size,
-                                        window=spec.window)
-    else:
-        processed = normalize(resize(img, spec.model.input_size))
+    processed = prepare(read_pgm(args.image), spec.model.input_size, spec.window,
+                        spec.preprocess_full)
     batch = Tensor([1, 1, spec.model.input_size, spec.model.input_size],
                    processed.values.reshape(-1))
     print_prediction(forward(model, batch, "infer").data.reshape(-1))

@@ -13,14 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MissingClassDir
-from .preprocess import (
-    GrayImage,
-    normalize,
-    preprocess_pipeline,
-    read_pgm,
-    resize,
-    write_pgm,
-)
+from .preprocess import GrayImage, prepare, read_pgm, write_pgm
 from .train import Dataset
 
 CLASS_NAMES = ("MildDemented", "ModerateDemented", "NonDemented", "VeryMildDemented")
@@ -105,11 +98,7 @@ def load_dataset(manifest: DatasetManifest, target: int, window: int = 3,
     """
     images, labels = [], []
     for path, label in manifest.labelled_files():
-        img = read_pgm(path)
-        if full_pipeline:
-            processed = preprocess_pipeline(img, target=target, window=window)
-        else:
-            processed = normalize(resize(img, target))
+        processed = prepare(read_pgm(path), target, window, full_pipeline)
         images.append(processed.values[None, :, :])
         labels.append(label)
     if not images:

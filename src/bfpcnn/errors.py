@@ -5,6 +5,14 @@ class Error(Exception):
     """Base class for all package errors."""
 
 
+class ConfigError(Error):
+    """A run configuration file or flag value could not be parsed (exit 1)."""
+
+
+class DataError(Error):
+    """A dataset, image or checkpoint cannot be used as given (exit 2)."""
+
+
 # tensor construction / shape algebra
 class ZeroDim(Error):
     """A requested tensor dimension is zero or negative."""
@@ -23,11 +31,11 @@ class NoTape(Error):
 
 
 # preprocessing
-class EvenWindow(Error):
+class EvenWindow(ConfigError):
     """Median filter windows must be odd."""
 
 
-class UnreadableImage(Error):
+class UnreadableImage(DataError):
     """An image file is missing, truncated or not a valid binary PGM."""
 
 
@@ -53,55 +61,47 @@ class ShapeChange(Error):
 
 
 # model assembly and checkpoints
-class ShapeUnderflow(Error):
+class ShapeUnderflow(DataError):
     """The configured input size is too small for the layer stack."""
 
 
-class ShapeMismatch(Error):
+class ShapeMismatch(DataError):
     """A batch fed to the model has the wrong shape."""
 
 
-class BadMagic(Error):
+class BadMagic(DataError):
     """Checkpoint file does not start with the expected magic bytes."""
 
 
-class VersionMismatch(Error):
+class VersionMismatch(DataError):
     """Checkpoint format version is not supported."""
 
 
-class TruncatedFile(Error):
+class TruncatedFile(DataError):
     """Checkpoint file ended before all declared tensors were read."""
 
 
-class ShapeConflict(Error):
+class ShapeConflict(DataError):
     """Checkpoint tensors do not match the configured model."""
 
 
 # training and metrics
-class LabelOutOfRange(Error):
+class LabelOutOfRange(DataError):
     """A class label lies outside [0, class_count)."""
 
 
-class EmptyClass(Error):
+class EmptyClass(DataError):
     """A class has too few samples to appear in both data splits."""
 
 
-class LengthMismatch(Error):
+class LengthMismatch(DataError):
     """Prediction and label sequences differ in length."""
 
 
-class EmptyMatrix(Error):
+class EmptyMatrix(DataError):
     """Metrics were requested for a confusion matrix with no samples."""
 
 
 # dataset ingestion
-class MissingClassDir(Error):
+class MissingClassDir(DataError):
     """A required class subdirectory is absent from the dataset root."""
-
-
-class ConfigError(Error):
-    """A run configuration file or flag value could not be parsed."""
-
-
-# Filesystem failures during generation keep their OS semantics.
-IoError = OSError

@@ -8,6 +8,7 @@ import os
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -156,186 +157,70 @@ def _parse_ints(raw: str) -> list[int]:
     return [int(tok) for tok in raw.split(",") if tok.strip() != ""]
 
 
-# -- layer holders ------------------------------------------------------------
+# -- layers -------------------------------------------------------------------
 
-class _ConvRelu:
-    def __init__(self, params: Conv2DParams, apply_relu: bool = True):
-        self.params = params
-        self.apply_relu = apply_relu
+@dataclass
+class Layer:
+    """One step of the stack: ``forward(x, mode, rng)`` and the
+    ``(suffix, tensor, trainable)`` entries it owns, in checkpoint order.
+    ``forward`` is a plain attribute so tools can wrap it in place."""
 
-    def forward(self, x, mode, rng):
-        out = conv2d(x, self.params)
-        return relu(out) if self.apply_relu else out
-
-    def tensors(self):
-        yield "weight", self.params.weights, True
-        yield "bias", self.params.bias, True
+    forward: Callable[[Tensor, Mode, np.random.Generator | None], Tensor]
+    tensors: list[tuple[str, Tensor, bool]] = field(default_factory=list)
 
 
-class _MaxPool:
-    def __init__(self, k: int, stride: int):
-        self.k = k
-        self.stride = stride
-
-    def forward(self, x, mode, rng):
-        return maxpool2d(x, self.k, self.stride)
-
-    def tensors(self):
-        return iter(())
+def _conv_tensors(conv: Conv2DParams, prefix: str = "") -> list[tuple[str, Tensor, bool]]:
+    return [(f"{prefix}weight", conv.weights, True), (f"{prefix}bias", conv.bias, True)]
 
 
-class _BatchNorm:
-    def __init__(self, params: BatchNormParams):
-        self.params = params
-
-    def forward(self, x, mode, rng):
-        return batchnorm(x, self.params, mode)
-
-    def tensors(self):
-        yield "gamma", self.params.gamma, True
-        yield "beta", self.params.beta, True
-        yield "running_mean", self.params.running_mean, False
-        yield "running_var", self.params.running_var, False
+def _bn_tensors(bn: BatchNormParams, prefix: str = "") -> list[tuple[str, Tensor, bool]]:
+    return [(f"{prefix}gamma", bn.gamma, True), (f"{prefix}beta", bn.beta, True),
+            (f"{prefix}running_mean", bn.running_mean, False),
+            (f"{prefix}running_var", bn.running_var, False)]
 
 
-class _Inception:
-    def __init__(self, cfg: InceptionConfig, params: InceptionParams):
-        self.cfg = cfg
-        self.params = params
-
-    def forward(self, x, mode, rng):
-        return inception_block(x, self.cfg, self.params)
-
-    def tensors(self):
-        for path, conv in (("p1", self.params.p1), ("p2a", self.params.p2a),
-                           ("p2b", self.params.p2b), ("p3a", self.params.p3a),
-                           ("p3b", self.params.p3b), ("p4", self.params.p4)):
-            yield f"{path}.weight", conv.weights, True
-            yield f"{path}.bias", conv.bias, True
+def _conv_relu(conv: Conv2DParams) -> Layer:
+    return Layer(lambda x, mode, rng: relu(conv2d(x, conv)), _conv_tensors(conv))
 
 
-class _SelfAttention:
-    def __init__(self, params: SelfAttentionParams):
-        self.params = params
-
-    def forward(self, x, mode, rng):
-        return self_attention(x, self.params, mode, rng=rng, residual=True)
-
-    def tensors(self):
-        yield "wq", self.params.wq, True
-        yield "wk", self.params.wk, True
-        yield "wv", self.params.wv, True
-        yield "wo", self.params.wo, True
+def _inception(cfg: InceptionConfig, p: InceptionParams) -> Layer:
+    paths = ("p1", "p2a", "p2b", "p3a", "p3b", "p4")
+    return Layer(lambda x, mode, rng: inception_block(x, cfg, p),
+                 [entry for path in paths
+                  for entry in _conv_tensors(getattr(p, path), f"{path}.")])
 
 
-class _SepConvBlock:
+def _sep_conv(depthwise: Tensor, pointwise: Tensor, bias: Tensor, bn: BatchNormParams,
+              shortcut: Conv2DParams | None) -> Layer:
     """separable conv -> BN, added to the (projected) input, then relu."""
 
-    def __init__(self, depthwise: Tensor, pointwise: Tensor, bias: Tensor,
-                 bn: BatchNormParams, shortcut: Conv2DParams | None):
-        self.depthwise = depthwise
-        self.pointwise = pointwise
-        self.bias = bias
-        self.bn = bn
-        self.shortcut = shortcut
-
-    def forward(self, x, mode, rng):
-        y = batchnorm(separable_conv2d(x, self.depthwise, self.pointwise, self.bias),
-                      self.bn, mode)
-        s = x if self.shortcut is None else conv2d(x, self.shortcut)
+    def fwd(x, mode, rng):
+        y = batchnorm(separable_conv2d(x, depthwise, pointwise, bias), bn, mode)
+        s = x if shortcut is None else conv2d(x, shortcut)
         return relu(y + s)
 
-    def tensors(self):
-        yield "depthwise", self.depthwise, True
-        yield "pointwise", self.pointwise, True
-        yield "bias", self.bias, True
-        yield "bn.gamma", self.bn.gamma, True
-        yield "bn.beta", self.bn.beta, True
-        yield "bn.running_mean", self.bn.running_mean, False
-        yield "bn.running_var", self.bn.running_var, False
-        if self.shortcut is not None:
-            yield "shortcut.weight", self.shortcut.weights, True
-            yield "shortcut.bias", self.shortcut.bias, True
+    tensors = [("depthwise", depthwise, True), ("pointwise", pointwise, True),
+               ("bias", bias, True)] + _bn_tensors(bn, "bn.")
+    if shortcut is not None:
+        tensors += _conv_tensors(shortcut, "shortcut.")
+    return Layer(fwd, tensors)
 
 
-class _SpatialAttention:
-    def __init__(self, cfg: SpatialAttentionConfig, params: SpatialAttentionParams):
-        self.cfg = cfg
-        self.params = params
+def _dense(w: Tensor, b: Tensor, apply_relu: bool) -> Layer:
+    def fwd(x, mode, rng):
+        out = dense(x, w, b)
+        return relu(out) if apply_relu else out
 
-    def forward(self, x, mode, rng):
-        return spatial_attention(x, self.cfg, self.params, mode)
-
-    def tensors(self):
-        for i, (conv, bn) in enumerate(self.params.branches, start=1):
-            yield f"branch{i}.weight", conv.weights, True
-            yield f"branch{i}.bias", conv.bias, True
-            yield f"branch{i}.bn.gamma", bn.gamma, True
-            yield f"branch{i}.bn.beta", bn.beta, True
-            yield f"branch{i}.bn.running_mean", bn.running_mean, False
-            yield f"branch{i}.bn.running_var", bn.running_var, False
+    return Layer(fwd, [("weight", w, True), ("bias", b, True)])
 
 
-class _Residual:
-    def __init__(self, params: ResidualBlockParams):
-        self.params = params
-
-    def forward(self, x, mode, rng):
-        return residual_block(x, self.params, mode)
-
-    def tensors(self):
-        p = self.params
-        for prefix, conv, bn in (("a", p.conv1, p.bn1), ("b", p.conv2, p.bn2)):
-            yield f"{prefix}.weight", conv.weights, True
-            yield f"{prefix}.bias", conv.bias, True
-            yield f"{prefix}.bn.gamma", bn.gamma, True
-            yield f"{prefix}.bn.beta", bn.beta, True
-            yield f"{prefix}.bn.running_mean", bn.running_mean, False
-            yield f"{prefix}.bn.running_var", bn.running_var, False
-
-
-class _Flatten:
-    def forward(self, x, mode, rng):
-        return flatten(x)
-
-    def tensors(self):
-        return iter(())
-
-
-class _Dense:
-    def __init__(self, w: Tensor, b: Tensor, apply_relu: bool):
-        self.w = w
-        self.b = b
-        self.apply_relu = apply_relu
-
-    def forward(self, x, mode, rng):
-        out = dense(x, self.w, self.b)
-        return relu(out) if self.apply_relu else out
-
-    def tensors(self):
-        yield "weight", self.w, True
-        yield "bias", self.b, True
-
-
-class _Dropout:
-    def __init__(self, rate: float):
-        self.rate = rate
-
-    def forward(self, x, mode, rng):
-        if mode == "train" and self.rate > 0 and rng is None:
+def _dropout(rate: float) -> Layer:
+    def fwd(x, mode, rng):
+        if mode == "train" and rate > 0 and rng is None:
             raise ValueError("training with dropout needs an explicit rng")
-        return dropout(x, self.rate, mode, rng if rng is not None else 0)
+        return dropout(x, rate, mode, rng if rng is not None else 0)
 
-    def tensors(self):
-        return iter(())
-
-
-class _Softmax:
-    def forward(self, x, mode, rng):
-        return softmax(x)
-
-    def tensors(self):
-        return iter(())
+    return Layer(fwd)
 
 
 @dataclass
@@ -343,12 +228,12 @@ class ModelGraph:
     """Ordered layer stack with its parameter tensors."""
 
     config: ModelConfig
-    layers: list[tuple[str, object]]
+    layers: list[tuple[str, Layer]]
     total_params: int
 
     def named_tensors(self):
         for layer_name, layer in self.layers:
-            for suffix, t, trainable in layer.tensors():
+            for suffix, t, trainable in layer.tensors:
                 yield f"{layer_name}.{suffix}", t, trainable
 
     def parameters(self) -> list[Tensor]:
@@ -362,68 +247,81 @@ class ModelGraph:
 def build_model(cfg: ModelConfig) -> ModelGraph:
     """Instantiate the layer stack; deterministic for a given cfg.seed."""
     rng = np.random.default_rng(cfg.seed)
-    layers: list[tuple[str, object]] = []
+    layers: list[tuple[str, Layer]] = []
     c, side = 1, cfg.input_size
 
     stem = Conv2DParams.create(rng, c, cfg.stem_filters, cfg.stem_kernel,
                                stride=2, padding="same")
-    layers.append(("stem", _ConvRelu(stem)))
+    layers.append(("stem", _conv_relu(stem)))
     c, side = cfg.stem_filters, -(-side // 2)
 
     if side < 3:
         raise ShapeUnderflow(f"input size {cfg.input_size} leaves {side} pixels "
                              "for the 3x3 stem pool")
-    layers.append(("pool", _MaxPool(3, 2)))
+    layers.append(("pool", Layer(lambda x, mode, rng: maxpool2d(x, 3, 2))))
     side = (side - 3) // 2 + 1
 
-    layers.append(("refine.bn", _BatchNorm(BatchNormParams.create(c))))
+    refine_bn = BatchNormParams.create(c)
+    layers.append(("refine.bn", Layer(lambda x, mode, rng: batchnorm(x, refine_bn, mode),
+                                      _bn_tensors(refine_bn))))
     for i, f in enumerate(cfg.refine_filters, start=1):
-        layers.append((f"refine.conv{i}",
-                       _ConvRelu(Conv2DParams.create(rng, c, f, 3))))
+        layers.append((f"refine.conv{i}", _conv_relu(Conv2DParams.create(rng, c, f, 3))))
         c = f
 
     layers.append(("inception1",
-                   _Inception(cfg.inception1, InceptionParams.create(rng, c, cfg.inception1))))
+                   _inception(cfg.inception1, InceptionParams.create(rng, c, cfg.inception1))))
     c = cfg.inception1.out_channels
 
     attn = SelfAttentionParams.create(rng, c, attn_dropout=cfg.attn_dropout,
                                       out_dropout=cfg.attn_dropout)
-    layers.append(("attention", _SelfAttention(attn)))
+    layers.append(("attention",
+                   Layer(lambda x, mode, rng: self_attention(x, attn, mode, rng=rng,
+                                                             residual=True),
+                         [(name, getattr(attn, name), True)
+                          for name in ("wq", "wk", "wv", "wo")])))
 
     for i, f in enumerate(cfg.sep_block_filters, start=1):
         depthwise = he_uniform(rng, (c, 1, 3, 3), 9)
         pointwise = he_uniform(rng, (f, c, 1, 1), c)
         bias = Tensor([f], 0.0, requires_grad=True)
         shortcut = None if f == c else Conv2DParams.create(rng, c, f, 1)
-        layers.append((f"sep{i}", _SepConvBlock(depthwise, pointwise, bias,
-                                                BatchNormParams.create(f), shortcut)))
+        layers.append((f"sep{i}", _sep_conv(depthwise, pointwise, bias,
+                                            BatchNormParams.create(f), shortcut)))
         c = f
 
     spatial_cfg = cfg.spatial_attn
     if spatial_cfg.filters is None:
         spatial_cfg = replace(spatial_cfg, filters=c)
+    spatial = SpatialAttentionParams.create(rng, c, spatial_cfg)
     layers.append(("spatial",
-                   _SpatialAttention(spatial_cfg,
-                                     SpatialAttentionParams.create(rng, c, spatial_cfg))))
+                   Layer(lambda x, mode, rng: spatial_attention(x, spatial_cfg, spatial, mode),
+                         [entry for i, (conv, bn) in enumerate(spatial.branches, start=1)
+                          for entry in _conv_tensors(conv, f"branch{i}.")
+                          + _bn_tensors(bn, f"branch{i}.bn.")])))
     c = spatial_cfg.filters
 
     layers.append(("inception2",
-                   _Inception(cfg.inception2, InceptionParams.create(rng, c, cfg.inception2))))
+                   _inception(cfg.inception2, InceptionParams.create(rng, c, cfg.inception2))))
     c = cfg.inception2.out_channels
 
-    layers.append(("residual", _Residual(ResidualBlockParams.create(rng, c))))
+    res = ResidualBlockParams.create(rng, c)
+    layers.append(("residual",
+                   Layer(lambda x, mode, rng: residual_block(x, res, mode),
+                         _conv_tensors(res.conv1, "a.") + _bn_tensors(res.bn1, "a.bn.")
+                         + _conv_tensors(res.conv2, "b.") + _bn_tensors(res.bn2, "b.bn."))))
 
-    layers.append(("flatten", _Flatten()))
+    layers.append(("flatten", Layer(lambda x, mode, rng: flatten(x))))
     flat = c * side * side
     if flat < 1 or side < 1:
         raise ShapeUnderflow(f"spatial extent collapsed to {side}")
-    layers.append(("head", _Dense(he_uniform(rng, (flat, cfg.dense_units), flat),
+    layers.append(("head", _dense(he_uniform(rng, (flat, cfg.dense_units), flat),
                                   Tensor([cfg.dense_units], 0.0, requires_grad=True), True)))
-    layers.append(("head_dropout", _Dropout(cfg.dropout_rate)))
-    layers.append(("classify", _Dense(he_uniform(rng, (cfg.dense_units, cfg.class_count),
+    layers.append(("head_dropout", _dropout(cfg.dropout_rate)))
+    layers.append(("classify", _dense(he_uniform(rng, (cfg.dense_units, cfg.class_count),
                                                  cfg.dense_units),
-                                      Tensor([cfg.class_count], 0.0, requires_grad=True), False)))
-    layers.append(("softmax", _Softmax()))
+                                      Tensor([cfg.class_count], 0.0, requires_grad=True),
+                                      False)))
+    layers.append(("softmax", Layer(lambda x, mode, rng: softmax(x))))
 
     graph = ModelGraph(cfg, layers, 0)
     graph.total_params = param_count(graph)

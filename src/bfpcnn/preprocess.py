@@ -105,6 +105,14 @@ def preprocess_pipeline(img: GrayImage, target: int = DEFAULT_TARGET,
     return normalize(resize(median_filter(histogram_equalize(img), window), target))
 
 
+def prepare(img: GrayImage, target: int, window: int, full: bool) -> NormalizedImage:
+    """The model input for one image: resize and normalize, after
+    equalization and median filtering too when ``full``."""
+    if full:
+        return preprocess_pipeline(img, target=target, window=window)
+    return normalize(resize(img, target))
+
+
 # -- binary PGM (P5) ---------------------------------------------------------
 
 def read_pgm(path) -> GrayImage:

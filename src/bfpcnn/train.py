@@ -174,7 +174,8 @@ class EpochStats:
 
 @dataclass
 class MetricsReport:
-    """Final metrics plus (when produced by training) the per-epoch series."""
+    """Final metrics plus, when produced by training, the per-epoch series,
+    the train/val split and the final validation confusion matrix."""
 
     accuracy: float
     precision: list[float]
@@ -184,6 +185,9 @@ class MetricsReport:
     macro_recall: float
     macro_f1: float
     history: list[EpochStats] = field(default_factory=list)
+    train_idx: np.ndarray | None = None
+    val_idx: np.ndarray | None = None
+    confusion: ConfusionMatrix | None = None
 
 
 def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
@@ -293,6 +297,7 @@ def train(model: ModelGraph, data: Dataset, cfg: TrainConfig) -> MetricsReport:
         _, final_cm = _phase_stats(model, data, val_idx, 0, "val", cfg.batch_size)
     report = compute_metrics(final_cm)
     report.history = history
+    report.train_idx, report.val_idx, report.confusion = train_idx, val_idx, final_cm
     return report
 
 

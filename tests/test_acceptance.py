@@ -11,14 +11,12 @@ import numpy as np
 import pytest
 
 from bfpcnn.blocks import (
-    GranularParams,
     InceptionConfig,
     InceptionParams,
     ResidualBlockParams,
     SelfAttentionParams,
     SpatialAttentionConfig,
     SpatialAttentionParams,
-    granular_feature_integration,
     inception_block,
     residual_block,
     self_attention,
@@ -198,10 +196,6 @@ def test_criterion_2_gradient_correctness():
         rp = ResidualBlockParams.create(rng, 2)
         op_case(lambda t: residual_block(t, rp, "train").sum(),
                 smooth_values(rng, (1, 2, 3, 3)), tol=COMPOSITE_TOL)
-
-        gp = GranularParams.create(rng, 1, branch_filters=1)
-        op_case(lambda t: granular_feature_integration(t, gp, "train").sum(),
-                smooth_values(rng, (1, 1, 4, 4)), tol=COMPOSITE_TOL)
 
     # end-to-end: d(loss)/d(every parameter) on a tiny model. The sweep runs
     # at a generic parameter point: the pristine init sits exactly on relu

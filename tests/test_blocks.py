@@ -1,18 +1,16 @@
-"""Composite blocks: inception, self-attention, spatial attention, residual
-and granular feature integration."""
+"""Composite blocks: inception, self-attention, spatial attention and
+residual."""
 
 import numpy as np
 import pytest
 
 from bfpcnn.blocks import (
-    GranularParams,
     InceptionConfig,
     InceptionParams,
     ResidualBlockParams,
     SelfAttentionParams,
     SpatialAttentionConfig,
     SpatialAttentionParams,
-    granular_feature_integration,
     inception_block,
     residual_block,
     self_attention,
@@ -311,39 +309,3 @@ class TestResidualBlock:
         # composite budget: interior relu kinks make the FD oracle noisy
         check_grad(f, Tensor([1, 2, 3, 3], xv.copy()), tol=1e-2)
 
-
-class TestGranularFeatureIntegration:
-    def test_branch_depth(self):
-        rng = np.random.default_rng(40)
-        params = GranularParams.create(rng, 2, branch_filters=3)
-        x = Tensor([1, 2, 8, 8], smooth_values(rng, (1, 2, 8, 8)))
-        out = granular_feature_integration(x, params, "infer")
-        assert out.shape == (1, 12, 8, 8)
-
-    def test_zero_branches_make_output_input_independent(self):
-        rng = np.random.default_rng(41)
-        params = GranularParams.create(rng, 2, branch_filters=2)
-        for branch in params.branches:
-            zero_conv(branch)
-        a = granular_feature_integration(
-            Tensor([1, 2, 4, 4], smooth_values(rng, (1, 2, 4, 4))), params, "infer").data
-        b = granular_feature_integration(
-            Tensor([1, 2, 4, 4], smooth_values(rng, (1, 2, 4, 4))), params, "infer").data
-        assert np.array_equal(a, b)  # relu(F(0)): bias terms only
-
-    def test_spatial_dims_preserved(self):
-        rng = np.random.default_rng(42)
-        params = GranularParams.create(rng, 3, branch_filters=2)
-        x = Tensor([2, 3, 9, 9], smooth_values(rng, (2, 3, 9, 9)))
-        assert granular_feature_integration(x, params, "infer").shape[2:] == (9, 9)
-
-    def test_gradients(self):
-        rng = np.random.default_rng(43)
-        params = GranularParams.create(rng, 1, branch_filters=1)
-        xv = smooth_values(rng, (1, 1, 4, 4))
-
-        def f(t):
-            return granular_feature_integration(t, params, "train").sum()
-
-        # composite budget: interior relu kinks make the FD oracle noisy
-        check_grad(f, Tensor([1, 1, 4, 4], xv.copy()), tol=1e-2)

@@ -138,6 +138,20 @@ class TestPreprocessCommand:
             b = read_pgm(twin).pixels.astype(int)
             assert np.abs(a - b).max() <= 1
 
+    def test_existing_out_dir_refused(self, tmp_path):
+        gen_synthetic(tmp_path / "in", per_class=1, size=8, seed=2)
+        (tmp_path / "out").mkdir()
+        assert main(["preprocess", "--in", str(tmp_path / "in"),
+                     "--out", str(tmp_path / "out"), "--target", "8"]) == 1
+        assert not any((tmp_path / "out").iterdir())
+
+    def test_even_window_leaves_no_output(self, tmp_path):
+        gen_synthetic(tmp_path / "in", per_class=1, size=8, seed=2)
+        assert main(["preprocess", "--in", str(tmp_path / "in"),
+                     "--out", str(tmp_path / "out"), "--target", "8",
+                     "--window", "4", "--stages"]) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+
 
 class TestRunSpec:
     def test_table_defaults(self):
@@ -164,6 +178,13 @@ class TestRunSpec:
         cfg.write_text("zap = 1\n")
         assert main(["train", "--data", "x", "--config", str(cfg),
                      "--out", str(tmp_path / "r")]) == 1
+
+    def test_misspelled_model_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model.inceptoin1 = 1,1,1,1,1,1\n")
+        assert main(["train", "--data", "x", "--config", str(cfg),
+                     "--out", str(tmp_path / "r")]) == 1
+        assert "unknown configuration keys" in capsys.readouterr().err
 
 
 def run_tiny_training(tmp_path, run_name="run", seed="3", epochs="2",
@@ -341,6 +362,15 @@ class TestExitCodes:
         out = tmp_path / "run"
         assert main(["eval", "--ckpt", str(tmp_path / "no.ckpt"),
                      "--data", str(tmp_path / "absent"), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_even_window_in_config_is_config_error(self, tmp_path):
+        gen_synthetic(tmp_path / "data", per_class=2, size=16, seed=1)
+        cfg = write_tiny_config(tmp_path / "tiny.cfg",
+                                "preprocess.full = true\npreprocess.window = 4\n")
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(tmp_path / "data"), "--config", str(cfg),
+                     "--epochs", "1", "--out", str(out)]) == 1
         assert not out.exists()
 
     def test_success(self, tmp_path):

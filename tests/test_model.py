@@ -214,7 +214,62 @@ class TestGradientFlow:
             check_param_grad(loss_fn, param, tol=1e-2, indices=range(take))
 
 
+# (name, shape, trainable) of build_model(tiny_config()) in checkpoint order.
+# Checkpoints are matched to the model by these names and shapes, so a rename
+# or reshape makes existing checkpoints unloadable; a reorder changes the
+# bytes save_checkpoint writes.
+TINY_LAYOUT = [
+    ("stem.weight", (2, 1, 7, 7), True), ("stem.bias", (2,), True),
+    ("refine.bn.gamma", (2,), True), ("refine.bn.beta", (2,), True),
+    ("refine.bn.running_mean", (2,), False), ("refine.bn.running_var", (2,), False),
+    ("refine.conv1.weight", (2, 2, 3, 3), True), ("refine.conv1.bias", (2,), True),
+    ("inception1.p1.weight", (1, 2, 1, 1), True), ("inception1.p1.bias", (1,), True),
+    ("inception1.p2a.weight", (1, 2, 1, 1), True), ("inception1.p2a.bias", (1,), True),
+    ("inception1.p2b.weight", (1, 1, 3, 3), True), ("inception1.p2b.bias", (1,), True),
+    ("inception1.p3a.weight", (1, 2, 1, 1), True), ("inception1.p3a.bias", (1,), True),
+    ("inception1.p3b.weight", (1, 1, 5, 5), True), ("inception1.p3b.bias", (1,), True),
+    ("inception1.p4.weight", (1, 2, 1, 1), True), ("inception1.p4.bias", (1,), True),
+    ("attention.wq", (4, 4), True), ("attention.wk", (4, 4), True),
+    ("attention.wv", (4, 4), True), ("attention.wo", (4, 4), True),
+    ("sep1.depthwise", (4, 1, 3, 3), True), ("sep1.pointwise", (4, 4, 1, 1), True),
+    ("sep1.bias", (4,), True), ("sep1.bn.gamma", (4,), True),
+    ("sep1.bn.beta", (4,), True), ("sep1.bn.running_mean", (4,), False),
+    ("sep1.bn.running_var", (4,), False),
+    ("spatial.branch1.weight", (4, 4, 3, 3), True),
+    ("spatial.branch1.bias", (4,), True), ("spatial.branch1.bn.gamma", (4,), True),
+    ("spatial.branch1.bn.beta", (4,), True),
+    ("spatial.branch1.bn.running_mean", (4,), False),
+    ("spatial.branch1.bn.running_var", (4,), False),
+    ("spatial.branch2.weight", (4, 4, 3, 3), True),
+    ("spatial.branch2.bias", (4,), True), ("spatial.branch2.bn.gamma", (4,), True),
+    ("spatial.branch2.bn.beta", (4,), True),
+    ("spatial.branch2.bn.running_mean", (4,), False),
+    ("spatial.branch2.bn.running_var", (4,), False),
+    ("inception2.p1.weight", (1, 4, 1, 1), True), ("inception2.p1.bias", (1,), True),
+    ("inception2.p2a.weight", (1, 4, 1, 1), True), ("inception2.p2a.bias", (1,), True),
+    ("inception2.p2b.weight", (1, 1, 3, 3), True), ("inception2.p2b.bias", (1,), True),
+    ("inception2.p3a.weight", (1, 4, 1, 1), True), ("inception2.p3a.bias", (1,), True),
+    ("inception2.p3b.weight", (1, 1, 5, 5), True), ("inception2.p3b.bias", (1,), True),
+    ("inception2.p4.weight", (1, 4, 1, 1), True), ("inception2.p4.bias", (1,), True),
+    ("residual.a.weight", (4, 4, 3, 3), True), ("residual.a.bias", (4,), True),
+    ("residual.a.bn.gamma", (4,), True), ("residual.a.bn.beta", (4,), True),
+    ("residual.a.bn.running_mean", (4,), False),
+    ("residual.a.bn.running_var", (4,), False),
+    ("residual.b.weight", (4, 4, 3, 3), True), ("residual.b.bias", (4,), True),
+    ("residual.b.bn.gamma", (4,), True), ("residual.b.bn.beta", (4,), True),
+    ("residual.b.bn.running_mean", (4,), False),
+    ("residual.b.bn.running_var", (4,), False),
+    ("head.weight", (36, 4), True), ("head.bias", (4,), True),
+    ("classify.weight", (4, 4), True), ("classify.bias", (4,), True),
+]
+
+
 class TestCheckpoint:
+    def test_tensor_layout_pinned(self):
+        entries = [(name, t.shape, trainable)
+                   for name, t, trainable in build_model(tiny_config()).named_tensors()]
+        assert entries == TINY_LAYOUT
+
     def test_roundtrip_bitwise(self, tmp_path):
         cfg = tiny_config(seed=9)
         model = build_model(cfg)

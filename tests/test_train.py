@@ -319,6 +319,22 @@ class TestTrainLoop:
         assert abs(loss - last.loss) < 1e-6
         assert abs(m.accuracy - last.accuracy) < 1e-6
 
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_report_carries_split_and_final_confusion(self, epochs):
+        model = toy_model(seed=6)
+        data = toy_dataset(seed=3)
+        cfg = TrainConfig(learning_rate=0.01, epochs=epochs, batch_size=8,
+                          optimizer="adam", seed=5, val_fraction=0.25)
+        report = train(model, data, cfg)
+        split_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[0])
+        train_idx, val_idx = stratified_split(data.labels, cfg.val_fraction, split_rng)
+        preds, _ = evaluate(model, data.images[val_idx], data.labels[val_idx],
+                            cfg.batch_size)
+        assert np.array_equal(report.train_idx, train_idx)
+        assert np.array_equal(report.val_idx, val_idx)
+        assert np.array_equal(report.confusion.counts,
+                              confusion_matrix(preds, data.labels[val_idx], 4).counts)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyClass):
             train(toy_model(), Dataset(np.zeros((0, 1, 16, 16), np.float32),
