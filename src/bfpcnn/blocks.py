@@ -112,11 +112,10 @@ def _gather_positions(x: Tensor, idx: np.ndarray) -> Tensor:
     n, t, _ = x.shape
     rows = idx[:, :, None]
 
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            scattered = np.zeros_like(g)
-            np.put_along_axis(scattered, rows, g, axis=1)
-            x.grad += scattered
+    def backward(g: np.ndarray):
+        scattered = np.zeros_like(g)
+        np.put_along_axis(scattered, rows, g, axis=1)
+        return (scattered,)
 
     return apply_op("gather_positions", (x,),
                     np.take_along_axis(x.data, rows, axis=1), backward)
@@ -190,6 +189,9 @@ class SpatialAttentionConfig:
             raise ValueError("branch count d must be >= 1")
         if len(self.dilations) != self.d:
             raise ValueError("need one dilation rate per branch")
+        if min(self.kernel, *self.dilations,
+               1 if self.filters is None else self.filters) < 1:
+            raise ValueError("spatial kernel, filters and dilations must be >= 1")
 
 
 @dataclass

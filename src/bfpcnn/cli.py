@@ -263,6 +263,7 @@ class _StagingDir:
 
 
 def cmd_train(args) -> int:
+    staging_dir = _StagingDir(args.out)  # refuse an existing --out before any work
     spec = resolve_run_spec(args.config, args.lr, args.epochs, args.batch, args.seed)
     manifest = ingest(args.data)
     dataset = load_dataset(manifest, target=spec.model.input_size,
@@ -271,7 +272,7 @@ def cmd_train(args) -> int:
     report = train(model, dataset, spec.train)
 
     files = [path for path, _ in manifest.labelled_files()]
-    with _StagingDir(args.out) as staging:
+    with staging_dir as staging:
         _write_kv(staging / "config.txt", spec.to_kv())
         save_checkpoint(model, staging / "model.ckpt")
         (staging / "history.csv").write_text(history_csv(report.history))
@@ -297,6 +298,7 @@ def _load_run(ckpt_path):
 
 
 def cmd_eval(args) -> int:
+    staging_dir = _StagingDir(args.out)  # refuse an existing --out before any work
     model, spec = _load_run(args.ckpt)
     manifest = ingest(args.data)
     dataset = load_dataset(manifest, target=spec.model.input_size,
@@ -305,7 +307,7 @@ def cmd_eval(args) -> int:
                            spec.train.batch_size)
     cm = confusion_matrix(preds, dataset.labels, len(dataset.class_names))
     metrics = compute_metrics(cm)
-    with _StagingDir(args.out) as staging:
+    with staging_dir as staging:
         (staging / "metrics.txt").write_text(
             f"loss {loss:.6f}\n" + _metrics_text(metrics, dataset.class_names))
         _write_confusion_csvs(cm, dataset.class_names,

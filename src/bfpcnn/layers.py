@@ -165,23 +165,22 @@ def conv2d(x: Tensor, p: Conv2DParams) -> Tensor:
     cols = col.reshape(n, in_ch * kh * kw, oh * ow)
     w2 = p.weights.data.reshape(out_ch, -1)
     out = np.matmul(w2, cols) + p.bias.data.reshape(1, out_ch, 1)
-    weights, bias = p.weights, p.bias
     stride, dilation = p.stride, p.dilation
-    x_shape = x.shape
 
-    def backward(g: np.ndarray) -> None:
+    def backward(g: np.ndarray):
         g2 = g.reshape(n, out_ch, oh * ow)
-        if bias.requires_grad:
-            bias.grad += g2.sum(axis=(0, 2))
-        if weights.requires_grad:
-            dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
-            weights.grad += dw.reshape(weights.shape)
+        dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
+        dx = None
+        # guarded: the stem's input batch is untracked, and an unneeded
+        # col2im scatter there would cost every train step
         if x.requires_grad:
             dcols = np.matmul(w2.T, g2)
-            x.grad += _col2im(dcols.reshape(n, in_ch, kh, kw, oh, ow),
-                              x_shape, stride, dilation, pads)
+            dx = _col2im(dcols.reshape(n, in_ch, kh, kw, oh, ow),
+                         x.shape, stride, dilation, pads)
+        return dx, dw.reshape(out_ch, in_ch, kh, kw), g2.sum(axis=(0, 2))
 
-    return apply_op("conv2d", (x, weights, bias), out.reshape(n, out_ch, oh, ow), backward)
+    return apply_op("conv2d", (x, p.weights, p.bias), out.reshape(n, out_ch, oh, ow),
+                    backward)
 
 
 def _depthwise_conv2d(x: Tensor, depthwise: Tensor) -> Tensor:
@@ -191,15 +190,11 @@ def _depthwise_conv2d(x: Tensor, depthwise: Tensor) -> Tensor:
     col, pads = _im2col(x.data, kh, kw, 1, 1, "same")
     dw = depthwise.data.reshape(c, kh, kw)
     out = np.einsum("ncijhw,cij->nchw", col, dw, optimize=True)
-    x_shape = x.shape
 
-    def backward(g: np.ndarray) -> None:
-        if depthwise.requires_grad:
-            grad_w = np.einsum("ncijhw,nchw->cij", col, g, optimize=True)
-            depthwise.grad += grad_w.reshape(depthwise.shape)
-        if x.requires_grad:
-            dcol = np.einsum("cij,nchw->ncijhw", dw, g, optimize=True)
-            x.grad += _col2im(dcol, x_shape, 1, 1, pads)
+    def backward(g: np.ndarray):
+        dcol = np.einsum("cij,nchw->ncijhw", dw, g, optimize=True)
+        grad_w = np.einsum("ncijhw,nchw->cij", col, g, optimize=True)
+        return _col2im(dcol, x.shape, 1, 1, pads), grad_w.reshape(depthwise.shape)
 
     return apply_op("depthwise_conv2d", (x, depthwise), out, backward)
 
@@ -224,21 +219,17 @@ def maxpool2d(x: Tensor, k: int, stride: int, padding: Padding = "valid") -> Ten
     n, c, h, w = x.shape
     if k < 1 or stride < 1:
         raise ValueError("k and stride must be >= 1")
-    if k > h or k > w:
-        raise KernelTooLarge(f"pool window {k} exceeds input {h}x{w}")
     # -inf padding keeps padded cells out of every max
     col, pads = _im2col(x.data, k, k, stride, 1, padding, fill=-np.inf)
     oh, ow = pads[2], pads[3]
     flat = col.reshape(n, c, k * k, oh, ow)
     arg = flat.argmax(axis=2)
     out = np.take_along_axis(flat, arg[:, :, None], axis=2).squeeze(2)
-    x_shape = x.shape
 
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            dcol = np.zeros_like(flat)
-            np.put_along_axis(dcol, arg[:, :, None], g[:, :, None], axis=2)
-            x.grad += _col2im(dcol.reshape(n, c, k, k, oh, ow), x_shape, stride, 1, pads)
+    def backward(g: np.ndarray):
+        dcol = np.zeros_like(flat)
+        np.put_along_axis(dcol, arg[:, :, None], g[:, :, None], axis=2)
+        return (_col2im(dcol.reshape(n, c, k, k, oh, ow), x.shape, stride, 1, pads),)
 
     return apply_op("maxpool2d", (x,), out, backward)
 
@@ -268,20 +259,16 @@ def batchnorm(x: Tensor, p: BatchNormParams, mode: Mode) -> Tensor:
         p.running_mean.data[:] = (1 - mom) * p.running_mean.data + mom * mu
         p.running_var.data[:] = (1 - mom) * p.running_var.data + mom * var
 
-        def backward(g: np.ndarray) -> None:
-            if beta.requires_grad:
-                beta.grad += g.sum(axis=(0, 2, 3))
-            if gamma.requires_grad:
-                gamma.grad += (g * xhat).sum(axis=(0, 2, 3))
-            if x.requires_grad:
-                dxhat = g * g4
-                inv4 = inv.reshape(1, c, 1, 1)
-                dvar = (dxhat * centered).sum(axis=(0, 2, 3)) * (-0.5) * inv ** 3
-                dmu = -(dxhat.sum(axis=(0, 2, 3)) * inv) \
-                    - dvar * 2.0 / m * centered.sum(axis=(0, 2, 3))
-                x.grad += (dxhat * inv4
-                           + dvar.reshape(1, c, 1, 1) * 2.0 / m * centered
-                           + dmu.reshape(1, c, 1, 1) / m)
+        def backward(g: np.ndarray):
+            dxhat = g * g4
+            inv4 = inv.reshape(1, c, 1, 1)
+            dvar = (dxhat * centered).sum(axis=(0, 2, 3)) * (-0.5) * inv ** 3
+            dmu = -(dxhat.sum(axis=(0, 2, 3)) * inv) \
+                - dvar * 2.0 / m * centered.sum(axis=(0, 2, 3))
+            dx = (dxhat * inv4
+                  + dvar.reshape(1, c, 1, 1) * 2.0 / m * centered
+                  + dmu.reshape(1, c, 1, 1) / m)
+            return dx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
 
         return apply_op("batchnorm", (x, gamma, beta), out, backward)
 
@@ -289,13 +276,9 @@ def batchnorm(x: Tensor, p: BatchNormParams, mode: Mode) -> Tensor:
     xhat = (x.data - p.running_mean.data.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
     out = g4 * xhat + beta.data.reshape(1, c, 1, 1)
 
-    def backward(g: np.ndarray) -> None:
-        if beta.requires_grad:
-            beta.grad += g.sum(axis=(0, 2, 3))
-        if gamma.requires_grad:
-            gamma.grad += (g * xhat).sum(axis=(0, 2, 3))
-        if x.requires_grad:
-            x.grad += g * g4 * inv.reshape(1, c, 1, 1)
+    def backward(g: np.ndarray):
+        return (g * g4 * inv.reshape(1, c, 1, 1), (g * xhat).sum(axis=(0, 2, 3)),
+                g.sum(axis=(0, 2, 3)))
 
     return apply_op("batchnorm", (x, gamma, beta), out, backward)
 
@@ -303,12 +286,8 @@ def batchnorm(x: Tensor, p: BatchNormParams, mode: Mode) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(x, 0); gradient is 0 at x == 0."""
     mask = x.data > 0
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.grad += g * mask
-
-    return apply_op("relu", (x,), np.where(mask, x.data, np.float32(0)), backward)
+    return apply_op("relu", (x,), np.where(mask, x.data, np.float32(0)),
+                    lambda g: (g * mask,))
 
 
 def concat_depth(x: Tensor, y: Tensor) -> Tensor:
@@ -318,15 +297,8 @@ def concat_depth(x: Tensor, y: Tensor) -> Tensor:
     if x.shape[0] != y.shape[0] or x.shape[2:] != y.shape[2:]:
         raise SpatialMismatch(f"concat_depth: {x.shape} vs {y.shape}")
     cx = x.shape[1]
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.grad += g[:, :cx]
-        if y.requires_grad:
-            y.grad += g[:, cx:]
-
-    return apply_op("concat_depth", (x, y),
-                    np.concatenate([x.data, y.data], axis=1), backward)
+    return apply_op("concat_depth", (x, y), np.concatenate([x.data, y.data], axis=1),
+                    lambda g: (g[:, :cx], g[:, cx:]))
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -337,16 +309,8 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise DimMismatch(f"dense: {x.shape} @ {w.shape} + {b.shape}")
     out = x.data @ w.data + b.data
     x_data, w_data = x.data, w.data
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.grad += g @ w_data.T
-        if w.requires_grad:
-            w.grad += x_data.T @ g
-        if b.requires_grad:
-            b.grad += g.sum(axis=0)
-
-    return apply_op("dense", (x, w, b), out, backward)
+    return apply_op("dense", (x, w, b), out,
+                    lambda g: (g @ w_data.T, x_data.T @ g, g.sum(axis=0)))
 
 
 def flatten(x: Tensor) -> Tensor:
@@ -362,12 +326,8 @@ def softmax(logits: Tensor) -> Tensor:
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=1, keepdims=True)
-
-    def backward(g: np.ndarray) -> None:
-        if logits.requires_grad:
-            logits.grad += out * (g - (g * out).sum(axis=1, keepdims=True))
-
-    return apply_op("softmax", (logits,), out, backward)
+    return apply_op("softmax", (logits,), out,
+                    lambda g: (out * (g - (g * out).sum(axis=1, keepdims=True)),))
 
 
 def dropout(x: Tensor, rate: float, mode: Mode, seed) -> Tensor:
@@ -388,9 +348,4 @@ def dropout(x: Tensor, rate: float, mode: Mode, seed) -> Tensor:
         raise TypeError("dropout needs an int seed or a numpy Generator")
     scale = np.float32(1.0 / (1.0 - rate))
     mask = (rng.random(x.shape, dtype=np.float32) >= rate) * scale
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.grad += g * mask
-
-    return apply_op("dropout", (x,), x.data * mask, backward)
+    return apply_op("dropout", (x,), x.data * mask, lambda g: (g * mask,))

@@ -80,6 +80,9 @@ class ModelConfig:
             raise ValueError("class_count must be >= 2")
         if self.input_size < 1:
             raise ValueError("input_size must be positive")
+        if min(self.stem_filters, self.stem_kernel, self.dense_units,
+               *self.refine_filters, *self.sep_block_filters) < 1:
+            raise ValueError("every width and kernel must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0 or not 0.0 <= self.attn_dropout < 1.0:
             raise ValueError("dropout rates must lie in [0, 1)")
 
@@ -364,7 +367,8 @@ def save_checkpoint(model: ModelGraph, path) -> None:
             fh.write(struct.pack("<B", tensor.data.ndim))
             for dim in tensor.shape:
                 fh.write(struct.pack("<I", dim))
-            fh.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
+            # the file takes the array's own buffer, so saving copies no payload
+            fh.write(np.ascontiguousarray(tensor.data, dtype="<f4"))
     os.replace(tmp, path)
 
 

@@ -4,7 +4,8 @@ A ``Tensor`` wraps a row-major numpy float32 array. Operations on tracked
 tensors record a ``TapeNode`` holding the inputs and a backward closure;
 ``Tensor.backward()`` walks the resulting DAG once in reverse topological
 order and accumulates gradients additively, so fan-out (using the same
-tensor twice) sums contributions.
+tensor twice) sums contributions. ``Tensor.backward()`` is the only code
+that writes ``.grad``.
 """
 
 from __future__ import annotations
@@ -21,14 +22,15 @@ class TapeNode:
     """One recorded operation: kind, input tensors, backward closure.
 
     The closure captures whatever forward values the backward pass needs,
-    receives the output gradient and adds each input's contribution into
-    ``input.grad``.
+    receives the output gradient and returns one gradient per input, in
+    input order (``None`` is allowed for an untracked input). It writes
+    nothing; ``Tensor.backward`` adds the results into ``input.grad``.
     """
 
     __slots__ = ("op_kind", "inputs", "backward_fn")
 
     def __init__(self, op_kind: str, inputs: tuple["Tensor", ...],
-                 backward_fn: Callable[[np.ndarray], None]):
+                 backward_fn: Callable[[np.ndarray], tuple]):
         self.op_kind = op_kind
         self.inputs = inputs
         self.backward_fn = backward_fn
@@ -97,23 +99,10 @@ class Tensor:
         if isinstance(other, Tensor):
             if self.shape != other.shape:
                 raise DimMismatch(f"add: {self.shape} vs {other.shape}")
-            a, b = self, other
-
-            def backward(g: np.ndarray) -> None:
-                if a.requires_grad:
-                    a.grad += g
-                if b.requires_grad:
-                    b.grad += g
-
-            return apply_op("add", (a, b), self.data + other.data, backward)
+            return apply_op("add", (self, other), self.data + other.data,
+                            lambda g: (g, g))
         c = float(other)
-        a = self
-
-        def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                a.grad += g
-
-        return apply_op("add_scalar", (a,), self.data + np.float32(c), backward)
+        return apply_op("add_scalar", (self,), self.data + np.float32(c), lambda g: (g,))
 
     __radd__ = __add__
 
@@ -121,24 +110,11 @@ class Tensor:
         if isinstance(other, Tensor):
             if self.shape != other.shape:
                 raise DimMismatch(f"mul: {self.shape} vs {other.shape}")
-            a, b = self, other
             a_data, b_data = self.data, other.data
-
-            def backward(g: np.ndarray) -> None:
-                if a.requires_grad:
-                    a.grad += g * b_data
-                if b.requires_grad:
-                    b.grad += g * a_data
-
-            return apply_op("mul", (a, b), a_data * b_data, backward)
+            return apply_op("mul", (self, other), a_data * b_data,
+                            lambda g: (g * b_data, g * a_data))
         c = np.float32(float(other))
-        a = self
-
-        def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                a.grad += g * c
-
-        return apply_op("mul_scalar", (a,), self.data * c, backward)
+        return apply_op("mul_scalar", (self,), self.data * c, lambda g: (g * c,))
 
     __rmul__ = __mul__
 
@@ -155,16 +131,11 @@ class Tensor:
         return matmul(self, other)
 
     def sum(self) -> "Tensor":
-        a = self
-
-        def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                a.grad += g  # scalar g broadcasts over the input shape
-
         # accumulate in float64, round once: keeps scalar losses accurate
         # enough for finite-difference checks
         total = np.float32(self.data.sum(dtype=np.float64))
-        return apply_op("sum", (a,), np.asarray(total).reshape(()), backward)
+        # the scalar g broadcasts over the input shape when it is added
+        return apply_op("sum", (self,), np.asarray(total).reshape(()), lambda g: (g,))
 
     def mean(self) -> "Tensor":
         return self.sum() * (1.0 / self.size)
@@ -173,25 +144,15 @@ class Tensor:
         dims = [int(d) for d in shape]
         if math.prod(dims) != self.size:
             raise DimMismatch(f"reshape {list(self.shape)} -> {dims}")
-        a = self
         old_shape = self.shape
-
-        def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                a.grad += g.reshape(old_shape)
-
-        return apply_op("reshape", (a,), self.data.reshape(dims), backward)
+        return apply_op("reshape", (self,), self.data.reshape(dims),
+                        lambda g: (g.reshape(old_shape),))
 
     def transpose(self, *axes: int) -> "Tensor":
         perm = tuple(axes)
         inv = tuple(np.argsort(perm))
-        a = self
-
-        def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                a.grad += g.transpose(inv)
-
-        return apply_op("transpose", (a,), self.data.transpose(perm), backward)
+        return apply_op("transpose", (self,), self.data.transpose(perm),
+                        lambda g: (g.transpose(inv),))
 
     # -- reverse-mode sweep -------------------------------------------------
 
@@ -224,11 +185,13 @@ class Tensor:
         self.grad += np.ones_like(self.data)
         for t in reversed(topo):
             if t.node is not None:
-                t.node.backward_fn(t.grad)
+                for inp, g in zip(t.node.inputs, t.node.backward_fn(t.grad)):
+                    if inp.requires_grad:
+                        inp.grad += g
 
 
 def apply_op(op_kind: str, inputs: Sequence[Tensor], data: np.ndarray,
-             backward_fn: Callable[[np.ndarray], None]) -> Tensor:
+             backward_fn: Callable[[np.ndarray], tuple]) -> Tensor:
     """Wrap an op result, recording a tape node when any input is tracked."""
     out = Tensor._wrap(np.asarray(data, dtype=np.float32))
     if any(t.requires_grad for t in inputs):
@@ -244,14 +207,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise DimMismatch(f"matmul: inner dimensions {a.shape} x {b.shape}")
     a_data, b_data = a.data, b.data
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.grad += g @ b_data.T
-        if b.requires_grad:
-            b.grad += a_data.T @ g
-
-    return apply_op("matmul", (a, b), a_data @ b_data, backward)
+    return apply_op("matmul", (a, b), a_data @ b_data,
+                    lambda g: (g @ b_data.T, a_data.T @ g))
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
@@ -261,14 +218,8 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise DimMismatch(f"bmm: {a.shape} x {b.shape}")
     a_data, b_data = a.data, b.data
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.grad += g @ b_data.transpose(0, 2, 1)
-        if b.requires_grad:
-            b.grad += a_data.transpose(0, 2, 1) @ g
-
-    return apply_op("bmm", (a, b), a_data @ b_data, backward)
+    return apply_op("bmm", (a, b), a_data @ b_data,
+                    lambda g: (g @ b_data.transpose(0, 2, 1), a_data.transpose(0, 2, 1) @ g))
 
 
 def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor, h: float) -> Tensor:

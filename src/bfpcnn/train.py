@@ -73,13 +73,12 @@ def cross_entropy_loss(probs: Tensor, labels) -> Tensor:
     clamped = np.maximum(picked, np.float32(LOSS_CLAMP))
     value = np.float32(-np.log(clamped.astype(np.float64)).mean())
 
-    def backward(g: np.ndarray) -> None:
-        if probs.requires_grad:
-            grad = np.zeros_like(probs.data)
-            live = picked >= LOSS_CLAMP  # clamped entries have zero slope
-            rows = np.arange(n)[live]
-            grad[rows, labels[live]] = -1.0 / (n * clamped[live])
-            probs.grad += grad * g
+    def backward(g: np.ndarray):
+        grad = np.zeros_like(probs.data)
+        live = picked >= LOSS_CLAMP  # clamped entries have zero slope
+        rows = np.arange(n)[live]
+        grad[rows, labels[live]] = -1.0 / (n * clamped[live])
+        return (grad * g,)
 
     return apply_op("cross_entropy", (probs,), np.asarray(value).reshape(()), backward)
 

@@ -373,6 +373,31 @@ class TestExitCodes:
                      "--epochs", "1", "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", [
+        "model.stem_kernel = 0", "model.spatial_kernel = 0", "model.dense_units = 0",
+        "model.stem_filters = 0", "model.refine_filters = 0",
+        "model.spatial_filters = 0", "model.spatial_dilations = 1,-2",
+        "model.sep_blocks = 0",
+    ])
+    def test_nonpositive_width_is_config_error(self, tmp_path, capsys, line):
+        gen_synthetic(tmp_path / "data", per_class=2, size=16, seed=1)
+        cfg = write_tiny_config(tmp_path / "tiny.cfg", line + "\n")
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(tmp_path / "data"), "--config", str(cfg),
+                     "--epochs", "1", "--out", str(out)]) == 1
+        assert "bad model configuration value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_existing_out_refused_before_reading_data(self, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        out.mkdir()
+        args = ["--data", str(tmp_path / "absent"), "--out", str(out)]
+        if command == "eval":
+            args = ["--ckpt", str(tmp_path / "no.ckpt")] + args
+        assert main([command] + args) == 1
+        assert "already exists" in capsys.readouterr().err
+
     def test_success(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "d"), "--per-class", "1",
                      "--size", "8", "--seed", "1"]) == 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bfpcnn import layers
 from bfpcnn.errors import (
     BatchTooSmall,
     ChannelMismatch,
@@ -91,6 +92,21 @@ class TestConv2d:
                             for n in range(2):
                                 acc += float(x[0, c, i + m, j + n]) * float(w[f, c, m, n])
                     assert abs(out[0, f, i, j] - acc) < 1e-4
+
+    def test_untracked_input_skips_col2im(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("col2im ran for an untracked input")
+
+        monkeypatch.setattr(layers, "_col2im", refuse)
+        rng = np.random.default_rng(12)
+        x = Tensor([2, 1, 4, 4], smooth_values(rng, (2, 1, 4, 4)))
+        p = conv_params(smooth_values(rng, (3, 1, 3, 3)), np.zeros(3), padding="same",
+                        track=True)
+        conv2d(x, p).sum().backward()
+        assert x.grad is None
+        assert np.array_equal(p.bias.grad, np.full(3, 2 * 4 * 4, np.float32))
+        assert p.weights.grad.shape == (3, 1, 3, 3)
+        assert np.any(p.weights.grad != 0)
 
     def test_stride_two_geometry(self):
         x = Tensor([1, 1, 5, 5], np.arange(25, dtype=np.float32))
@@ -240,6 +256,13 @@ class TestMaxPool2d:
     def test_kernel_too_large(self):
         with pytest.raises(KernelTooLarge):
             maxpool2d(Tensor([1, 1, 2, 2], 1.0), 3, 1)
+
+    def test_same_padded_window_larger_than_input(self):
+        x = Tensor([1, 1, 1, 1], 2.0, requires_grad=True)
+        out = maxpool2d(x, 2, 1, padding="same")
+        assert out.data.tolist() == [[[[2.0]]]]
+        out.sum().backward()
+        assert x.grad.tolist() == [[[[1.0]]]]
 
     def test_same_padding_keeps_dims(self):
         x = Tensor([1, 1, 5, 5], np.arange(25, dtype=np.float32))

@@ -1,5 +1,7 @@
 """Model assembly, forward contracts, parameter counting, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from bfpcnn.model import (
     save_checkpoint,
 )
 from bfpcnn.tensor import Tensor
+from bfpcnn.train import cross_entropy_loss
 
 from util import check_param_grad
 
@@ -119,6 +122,31 @@ class TestBuild:
     def test_shape_underflow(self):
         with pytest.raises(ShapeUnderflow):
             build_model(tiny_config(input_size=4))
+
+    @pytest.mark.parametrize("size", [5, 6, 7, 8])
+    def test_smallest_input_sizes_forward(self, size):
+        # sizes 5 to 8 leave a 1x1 map after the stem pool, smaller than the
+        # inception 2x2 same-padded pool
+        model = build_model(tiny_config(input_size=size))
+        batch = np.random.default_rng(size).random((2, 1, size, size), dtype=np.float32)
+        out = forward(model, Tensor([2, 1, size, size], batch), "infer")
+        assert out.shape == (2, 4)
+        assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize("override", [
+        {"stem_filters": 0}, {"stem_kernel": 0}, {"dense_units": 0},
+        {"refine_filters": (2, 0)}, {"sep_block_filters": (-4,)},
+    ])
+    def test_nonpositive_width_rejected(self, override):
+        with pytest.raises(ValueError):
+            tiny_config(**override)
+
+    @pytest.mark.parametrize("fields", [
+        {"kernel": 0}, {"filters": 0}, {"d": 2, "dilations": (1, 0)},
+    ])
+    def test_nonpositive_spatial_value_rejected(self, fields):
+        with pytest.raises(ValueError):
+            SpatialAttentionConfig(**fields)
 
     def test_batch_shape_checked(self):
         model = build_model(tiny_config())
@@ -264,6 +292,31 @@ TINY_LAYOUT = [
 ]
 
 
+class TestTapeContract:
+    def test_closures_return_one_gradient_per_input_and_write_nothing(self):
+        model = build_model(tiny_config(seed=4))
+        batch = np.random.default_rng(4).random((2, 1, 16, 16), dtype=np.float32)
+        loss = cross_entropy_loss(forward(model, Tensor([2, 1, 16, 16], batch), "train"),
+                                  [0, 3])
+        stack, seen, kinds = [loss], set(), set()
+        while stack:
+            t = stack.pop()
+            if id(t) in seen or t.node is None:
+                continue
+            seen.add(id(t))
+            kinds.add(t.node.op_kind)
+            grads = t.node.backward_fn(np.ones_like(t.data))
+            assert len(grads) == len(t.node.inputs), t.node.op_kind
+            for inp, g in zip(t.node.inputs, grads):
+                assert inp.grad is None, t.node.op_kind
+                if inp.requires_grad:
+                    assert g is not None and (g + np.zeros_like(inp.data)).shape == inp.shape
+            stack.extend(t.node.inputs)
+        assert {"conv2d", "depthwise_conv2d", "maxpool2d", "batchnorm", "relu",
+                "concat_depth", "gather_positions", "matmul", "bmm", "softmax", "dense",
+                "cross_entropy", "reshape", "transpose", "add", "mul_scalar"} <= kinds
+
+
 class TestCheckpoint:
     def test_tensor_layout_pinned(self):
         entries = [(name, t.shape, trainable)
@@ -286,6 +339,18 @@ class TestCheckpoint:
                                             restored.named_tensors()):
             assert na == nb
             assert np.array_equal(ta.data, tb.data)
+
+    def test_save_peak_allocation_bounded(self, tmp_path):
+        model = build_model(tiny_config(input_size=64, dense_units=64))
+        tensor_bytes = sum(t.data.nbytes for _, t, _ in model.named_tensors())
+        tracemalloc.start()
+        try:
+            save_checkpoint(model, tmp_path / "model.ckpt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # writing each tensor from its own buffer needs no payload copy
+        assert peak < 0.5 * tensor_bytes
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.ckpt"

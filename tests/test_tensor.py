@@ -115,6 +115,12 @@ class TestBackward:
         assert np.array_equal(a.grad, ones @ b.data.T)
         assert np.array_equal(b.grad, a.data.T @ ones)
 
+    def test_one_tensor_in_both_matmul_slots(self):
+        a = Tensor([2, 2], [1, 2, 3, 4], requires_grad=True)
+        matmul(a, a).sum().backward()
+        g = np.ones((2, 2), np.float32)
+        assert np.array_equal(a.grad, g @ a.data.T + a.data.T @ g)
+
     def test_grad_accumulates_across_calls(self):
         x = Tensor([2], [1, 1], requires_grad=True)
         x.sum().backward()
