@@ -68,7 +68,7 @@ class InceptionParams:
         )
 
 
-def inception_block(x: Tensor, cfg: InceptionConfig, params: InceptionParams) -> Tensor:
+def inception_block(x: Tensor, params: InceptionParams) -> Tensor:
     """Four parallel paths, same-padded and stride 1, relu after every conv,
     concatenated along depth in path order."""
     p1 = relu(conv2d(x, params.p1))
@@ -81,29 +81,26 @@ def inception_block(x: Tensor, cfg: InceptionConfig, params: InceptionParams) ->
 
 @dataclass
 class SelfAttentionParams:
-    """Projections for single-head attention over spatial positions."""
+    """[C, C] projections for single-head attention over spatial positions;
+    ``dropout`` applies to the attention weights and to the output."""
 
     wq: Tensor
     wk: Tensor
     wv: Tensor
     wo: Tensor
     scale: float
-    attn_dropout: float = 0.1
-    out_dropout: float = 0.1
+    dropout: float
 
     @classmethod
-    def create(cls, rng: np.random.Generator, channels: int, d_k: int | None = None,
-               attn_dropout: float = 0.1, out_dropout: float = 0.1) -> "SelfAttentionParams":
-        d_k = channels if d_k is None else d_k
-        scale = float(np.float32(1.0) / np.sqrt(np.float32(d_k)))
+    def create(cls, rng: np.random.Generator, channels: int,
+               dropout: float) -> "SelfAttentionParams":
         return cls(
-            wq=he_uniform(rng, (channels, d_k), channels),
-            wk=he_uniform(rng, (channels, d_k), channels),
-            wv=he_uniform(rng, (channels, d_k), channels),
-            wo=he_uniform(rng, (d_k, channels), d_k),
-            scale=scale,
-            attn_dropout=attn_dropout,
-            out_dropout=out_dropout,
+            wq=he_uniform(rng, (channels, channels), channels),
+            wk=he_uniform(rng, (channels, channels), channels),
+            wv=he_uniform(rng, (channels, channels), channels),
+            wo=he_uniform(rng, (channels, channels), channels),
+            scale=float(np.float32(1.0) / np.sqrt(np.float32(channels))),
+            dropout=dropout,
         )
 
 
@@ -122,8 +119,7 @@ def _gather_positions(x: Tensor, idx: np.ndarray) -> Tensor:
 
 
 def self_attention(x: Tensor, p: SelfAttentionParams, mode: Mode,
-                   rng: np.random.Generator | None = None, residual: bool = True,
-                   return_attn: bool = False):
+                   rng: np.random.Generator | None = None, return_attn: bool = False):
     """Scaled dot-product attention across the H*W spatial positions.
 
     Positions are internally reordered into a canonical order derived from
@@ -132,15 +128,13 @@ def self_attention(x: Tensor, p: SelfAttentionParams, mode: Mode,
     same operand bytes whatever order the caller supplied, which makes the
     op bitwise equivariant under position permutations.
 
-    Returns the output tensor, or (output, attention) with ``return_attn``
-    where attention is the row-stochastic matrix in canonical order.
+    Returns the attention branch alone (the caller adds any residual), or
+    (output, attention) with ``return_attn`` where attention is the
+    row-stochastic matrix in canonical order.
     """
     n, c, h, w = x.shape
     if p.wq.shape[0] != c:
         raise DimMismatch(f"attention projections expect {p.wq.shape[0]} channels, got {c}")
-    if mode == "train" and rng is None and (p.attn_dropout > 0 or p.out_dropout > 0):
-        raise ValueError("training with dropout needs an explicit rng")
-    d_k = p.wq.shape[1]
     t = h * w
     seq = x.reshape([n, c, t]).transpose(0, 2, 1)  # [N, T, C]
 
@@ -151,16 +145,16 @@ def self_attention(x: Tensor, p: SelfAttentionParams, mode: Mode,
     canon = _gather_positions(seq, idx)
 
     flat = canon.reshape([n * t, c])
-    q = matmul(flat, p.wq).reshape([n, t, d_k])
-    k = matmul(flat, p.wk).reshape([n, t, d_k])
-    v = matmul(flat, p.wv).reshape([n, t, d_k])
+    q = matmul(flat, p.wq).reshape([n, t, c])
+    k = matmul(flat, p.wk).reshape([n, t, c])
+    v = matmul(flat, p.wv).reshape([n, t, c])
 
     scores = bmm(q, k.transpose(0, 2, 1)) * p.scale
     attn = softmax_rows(scores.reshape([n * t, t])).reshape([n, t, t])
-    attn_kept = dropout(attn, p.attn_dropout, mode, rng)
+    attn_kept = dropout(attn, p.dropout, mode, rng)
     mixed = bmm(attn_kept, v)
-    projected = matmul(mixed.reshape([n * t, d_k]), p.wo)
-    projected = dropout(projected, p.out_dropout, mode, rng).reshape([n, t, c])
+    projected = matmul(mixed.reshape([n * t, c]), p.wo)
+    projected = dropout(projected, p.dropout, mode, rng).reshape([n, t, c])
 
     inverse = np.empty_like(idx)
     for i in range(n):
@@ -168,8 +162,6 @@ def self_attention(x: Tensor, p: SelfAttentionParams, mode: Mode,
     restored = _gather_positions(projected, inverse)
 
     out = restored.transpose(0, 2, 1).reshape([n, c, h, w])
-    if residual:
-        out = x + out
     if return_attn:
         return out, attn.data.copy()
     return out
@@ -177,18 +169,15 @@ def self_attention(x: Tensor, p: SelfAttentionParams, mode: Mode,
 
 @dataclass(frozen=True)
 class SpatialAttentionConfig:
-    """d parallel dilated-convolution branches summed elementwise."""
+    """One dilated-convolution branch per dilation rate, summed elementwise."""
 
-    d: int = 2
     filters: int | None = None  # None: match the input channel count
     kernel: int = 3
     dilations: tuple[int, ...] = (1, 2)
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("branch count d must be >= 1")
-        if len(self.dilations) != self.d:
-            raise ValueError("need one dilation rate per branch")
+        if not self.dilations:
+            raise ValueError("need at least one dilation rate")
         if min(self.kernel, *self.dilations,
                1 if self.filters is None else self.filters) < 1:
             raise ValueError("spatial kernel, filters and dilations must be >= 1")
@@ -210,11 +199,8 @@ class SpatialAttentionParams:
         return cls(branches)
 
 
-def spatial_attention(x: Tensor, cfg: SpatialAttentionConfig,
-                      params: SpatialAttentionParams, mode: Mode) -> Tensor:
-    """Sum of d same-padded dilated convolutions, each batch-normalized."""
-    if len(params.branches) != cfg.d:
-        raise ValueError("parameter branch count does not match the config")
+def spatial_attention(x: Tensor, params: SpatialAttentionParams, mode: Mode) -> Tensor:
+    """Sum of the same-padded dilated convolution branches, each batch-normalized."""
     out = None
     for conv_p, bn_p in params.branches:
         branch = batchnorm(conv2d(x, conv_p), bn_p, mode)

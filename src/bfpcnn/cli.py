@@ -74,6 +74,9 @@ class RunSpec:
         if unknown:
             raise errors.ConfigError(f"unknown configuration keys: {sorted(unknown)}")
         model = ModelConfig.from_kv(kv)
+        if model.class_count != len(CLASS_NAMES):
+            raise errors.ConfigError(f"model.class_count must be {len(CLASS_NAMES)}, "
+                                     f"one per class in {CLASS_NAMES}")
         base = TrainConfig()
         try:
             train_cfg = TrainConfig(
@@ -120,6 +123,13 @@ def resolve_run_spec(config_path, lr, epochs, batch, seed) -> RunSpec:
     return RunSpec.from_kv(kv)
 
 
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     # usage problems exit 1; argparse's default of 2 is reserved for data errors
     def error(self, message):
@@ -134,14 +144,14 @@ def build_parser() -> _Parser:
 
     gen = sub.add_parser("gen", help="write a synthetic dataset")
     gen.add_argument("--out", required=True)
-    gen.add_argument("--per-class", type=int, required=True)
-    gen.add_argument("--size", type=int, required=True)
+    gen.add_argument("--per-class", type=_positive_int, required=True)
+    gen.add_argument("--size", type=_positive_int, required=True)
     gen.add_argument("--seed", type=int, required=True)
 
     prep = sub.add_parser("preprocess", help="equalize, filter and resize a tree")
     prep.add_argument("--in", dest="in_root", required=True)
     prep.add_argument("--out", required=True)
-    prep.add_argument("--target", type=int, default=DEFAULT_TARGET)
+    prep.add_argument("--target", type=_positive_int, default=DEFAULT_TARGET)
     prep.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     prep.add_argument("--stages", action="store_true",
                       help="also write per-stage intermediate images")
@@ -321,8 +331,7 @@ def cmd_predict(args) -> int:
     model, spec = _load_run(args.ckpt)
     processed = prepare(read_pgm(args.image), spec.model.input_size, spec.window,
                         spec.preprocess_full)
-    batch = Tensor([1, 1, spec.model.input_size, spec.model.input_size],
-                   processed.values.reshape(-1))
+    batch = Tensor.from_array(processed.values[None, None])
     print_prediction(forward(model, batch, "infer").data.reshape(-1))
     return 0
 

@@ -27,6 +27,9 @@ from .tensor import Tensor, apply_op
 Mode = Literal["train", "infer"]
 Padding = Literal["valid", "same"]
 
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+
 
 @dataclass
 class Conv2DParams:
@@ -62,16 +65,10 @@ class BatchNormParams:
 
     gamma: Tensor
     beta: Tensor
-    eps: float = 1e-5
-    momentum: float = 0.1
     running_mean: Tensor = None
     running_var: Tensor = None
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if not 0.0 < self.momentum < 1.0:
-            raise ValueError("momentum must lie in (0, 1)")
         ch = self.gamma.shape[0]
         if self.running_mean is None:
             self.running_mean = Tensor([ch], 0.0)
@@ -79,9 +76,9 @@ class BatchNormParams:
             self.running_var = Tensor([ch], 1.0)
 
     @classmethod
-    def create(cls, channels: int, eps: float = 1e-5, momentum: float = 0.1) -> "BatchNormParams":
+    def create(cls, channels: int) -> "BatchNormParams":
         return cls(Tensor([channels], 1.0, requires_grad=True),
-                   Tensor([channels], 0.0, requires_grad=True), eps, momentum)
+                   Tensor([channels], 0.0, requires_grad=True))
 
 
 def he_uniform(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
@@ -251,11 +248,11 @@ def batchnorm(x: Tensor, p: BatchNormParams, mode: Mode) -> Tensor:
             raise BatchTooSmall("train-mode batchnorm needs >= 2 values per channel")
         mu = x.data.mean(axis=(0, 2, 3))
         var = x.data.var(axis=(0, 2, 3))  # biased
-        inv = 1.0 / np.sqrt(var + np.float32(p.eps))
+        inv = 1.0 / np.sqrt(var + np.float32(BN_EPS))
         centered = x.data - mu.reshape(1, c, 1, 1)
         xhat = centered * inv.reshape(1, c, 1, 1)
         out = g4 * xhat + beta.data.reshape(1, c, 1, 1)
-        mom = np.float32(p.momentum)
+        mom = np.float32(BN_MOMENTUM)
         p.running_mean.data[:] = (1 - mom) * p.running_mean.data + mom * mu
         p.running_var.data[:] = (1 - mom) * p.running_var.data + mom * var
 
@@ -272,7 +269,7 @@ def batchnorm(x: Tensor, p: BatchNormParams, mode: Mode) -> Tensor:
 
         return apply_op("batchnorm", (x, gamma, beta), out, backward)
 
-    inv = 1.0 / np.sqrt(p.running_var.data + np.float32(p.eps))
+    inv = 1.0 / np.sqrt(p.running_var.data + np.float32(BN_EPS))
     xhat = (x.data - p.running_mean.data.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
     out = g4 * xhat + beta.data.reshape(1, c, 1, 1)
 
@@ -330,22 +327,16 @@ def softmax(logits: Tensor) -> Tensor:
                     lambda g: (out * (g - (g * out).sum(axis=1, keepdims=True)),))
 
 
-def dropout(x: Tensor, rate: float, mode: Mode, seed) -> Tensor:
+def dropout(x: Tensor, rate: float, mode: Mode, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout: zero with probability ``rate`` and scale survivors
-    by 1/(1-rate) in train mode; identity at inference.
-
-    ``seed`` is an int or a numpy Generator; an int gives a fixed mask.
-    """
+    by 1/(1-rate) in train mode; identity at inference or at rate 0, the
+    only cases that may pass no ``rng``."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
     if mode == "infer" or rate == 0.0:
         return x
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    elif isinstance(seed, (int, np.integer)):
-        rng = np.random.default_rng(int(seed))
-    else:
-        raise TypeError("dropout needs an int seed or a numpy Generator")
+    if rng is None:
+        raise ValueError("training with dropout needs an explicit rng")
     scale = np.float32(1.0 / (1.0 - rate))
     mask = (rng.random(x.shape, dtype=np.float32) >= rate) * scale
     return apply_op("dropout", (x,), x.data * mask, lambda g: (g * mask,))

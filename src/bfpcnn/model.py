@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -117,7 +117,6 @@ class ModelConfig:
                                            ",".join(map(str, base.spatial_attn.dilations))))
             filters_raw = kv.get("model.spatial_filters", "auto")
             spatial = SpatialAttentionConfig(
-                d=len(dilations),
                 filters=None if filters_raw == "auto" else int(filters_raw),
                 kernel=int(kv.get("model.spatial_kernel", base.spatial_attn.kernel)),
                 dilations=tuple(dilations),
@@ -186,9 +185,9 @@ def _conv_relu(conv: Conv2DParams) -> Layer:
     return Layer(lambda x, mode, rng: relu(conv2d(x, conv)), _conv_tensors(conv))
 
 
-def _inception(cfg: InceptionConfig, p: InceptionParams) -> Layer:
+def _inception(p: InceptionParams) -> Layer:
     paths = ("p1", "p2a", "p2b", "p3a", "p3b", "p4")
-    return Layer(lambda x, mode, rng: inception_block(x, cfg, p),
+    return Layer(lambda x, mode, rng: inception_block(x, p),
                  [entry for path in paths
                   for entry in _conv_tensors(getattr(p, path), f"{path}.")])
 
@@ -217,22 +216,12 @@ def _dense(w: Tensor, b: Tensor, apply_relu: bool) -> Layer:
     return Layer(fwd, [("weight", w, True), ("bias", b, True)])
 
 
-def _dropout(rate: float) -> Layer:
-    def fwd(x, mode, rng):
-        if mode == "train" and rate > 0 and rng is None:
-            raise ValueError("training with dropout needs an explicit rng")
-        return dropout(x, rate, mode, rng if rng is not None else 0)
-
-    return Layer(fwd)
-
-
 @dataclass
 class ModelGraph:
     """Ordered layer stack with its parameter tensors."""
 
     config: ModelConfig
     layers: list[tuple[str, Layer]]
-    total_params: int
 
     def named_tensors(self):
         for layer_name, layer in self.layers:
@@ -271,15 +260,12 @@ def build_model(cfg: ModelConfig) -> ModelGraph:
         layers.append((f"refine.conv{i}", _conv_relu(Conv2DParams.create(rng, c, f, 3))))
         c = f
 
-    layers.append(("inception1",
-                   _inception(cfg.inception1, InceptionParams.create(rng, c, cfg.inception1))))
+    layers.append(("inception1", _inception(InceptionParams.create(rng, c, cfg.inception1))))
     c = cfg.inception1.out_channels
 
-    attn = SelfAttentionParams.create(rng, c, attn_dropout=cfg.attn_dropout,
-                                      out_dropout=cfg.attn_dropout)
+    attn = SelfAttentionParams.create(rng, c, cfg.attn_dropout)
     layers.append(("attention",
-                   Layer(lambda x, mode, rng: self_attention(x, attn, mode, rng=rng,
-                                                             residual=True),
+                   Layer(lambda x, mode, rng: x + self_attention(x, attn, mode, rng=rng),
                          [(name, getattr(attn, name), True)
                           for name in ("wq", "wk", "wv", "wo")])))
 
@@ -292,19 +278,15 @@ def build_model(cfg: ModelConfig) -> ModelGraph:
                                             BatchNormParams.create(f), shortcut)))
         c = f
 
-    spatial_cfg = cfg.spatial_attn
-    if spatial_cfg.filters is None:
-        spatial_cfg = replace(spatial_cfg, filters=c)
-    spatial = SpatialAttentionParams.create(rng, c, spatial_cfg)
+    spatial = SpatialAttentionParams.create(rng, c, cfg.spatial_attn)
     layers.append(("spatial",
-                   Layer(lambda x, mode, rng: spatial_attention(x, spatial_cfg, spatial, mode),
+                   Layer(lambda x, mode, rng: spatial_attention(x, spatial, mode),
                          [entry for i, (conv, bn) in enumerate(spatial.branches, start=1)
                           for entry in _conv_tensors(conv, f"branch{i}.")
                           + _bn_tensors(bn, f"branch{i}.bn.")])))
-    c = spatial_cfg.filters
+    c = c if cfg.spatial_attn.filters is None else cfg.spatial_attn.filters
 
-    layers.append(("inception2",
-                   _inception(cfg.inception2, InceptionParams.create(rng, c, cfg.inception2))))
+    layers.append(("inception2", _inception(InceptionParams.create(rng, c, cfg.inception2))))
     c = cfg.inception2.out_channels
 
     res = ResidualBlockParams.create(rng, c)
@@ -319,16 +301,15 @@ def build_model(cfg: ModelConfig) -> ModelGraph:
         raise ShapeUnderflow(f"spatial extent collapsed to {side}")
     layers.append(("head", _dense(he_uniform(rng, (flat, cfg.dense_units), flat),
                                   Tensor([cfg.dense_units], 0.0, requires_grad=True), True)))
-    layers.append(("head_dropout", _dropout(cfg.dropout_rate)))
+    layers.append(("head_dropout",
+                   Layer(lambda x, mode, rng: dropout(x, cfg.dropout_rate, mode, rng))))
     layers.append(("classify", _dense(he_uniform(rng, (cfg.dense_units, cfg.class_count),
                                                  cfg.dense_units),
                                       Tensor([cfg.class_count], 0.0, requires_grad=True),
                                       False)))
     layers.append(("softmax", Layer(lambda x, mode, rng: softmax(x))))
 
-    graph = ModelGraph(cfg, layers, 0)
-    graph.total_params = param_count(graph)
-    return graph
+    return ModelGraph(cfg, layers)
 
 
 def forward(model: ModelGraph, batch: Tensor, mode: Mode,
@@ -372,17 +353,8 @@ def save_checkpoint(model: ModelGraph, path) -> None:
     os.replace(tmp, path)
 
 
-def load_checkpoint(path, cfg: ModelConfig | None = None) -> ModelGraph:
-    """Rebuild the model and restore every tensor bitwise.
-
-    Without an explicit config, a ``config.txt`` echo next to the checkpoint
-    supplies it.
-    """
-    if cfg is None:
-        sibling = Path(path).parent / "config.txt"
-        if not sibling.exists():
-            raise ConfigError(f"no config given and {sibling} not found")
-        cfg = ModelConfig.from_kv(read_kv_file(sibling))
+def load_checkpoint(path, cfg: ModelConfig) -> ModelGraph:
+    """Rebuild the model for ``cfg`` and restore every tensor bitwise."""
     raw = Path(path).read_bytes()
     view = _Reader(raw, path)
     if view.take(4) != CHECKPOINT_MAGIC:

@@ -99,17 +99,11 @@ def normalize(img: GrayImage) -> NormalizedImage:
                            img.pixels.astype(np.float32) / np.float32(255.0))
 
 
-def preprocess_pipeline(img: GrayImage, target: int = DEFAULT_TARGET,
-                        window: int = DEFAULT_WINDOW) -> NormalizedImage:
-    """equalize -> median filter -> resize -> normalize, in that order."""
-    return normalize(resize(median_filter(histogram_equalize(img), window), target))
-
-
 def prepare(img: GrayImage, target: int, window: int, full: bool) -> NormalizedImage:
-    """The model input for one image: resize and normalize, after
-    equalization and median filtering too when ``full``."""
+    """The model input for one image: equalize and median-filter when
+    ``full``, then resize and normalize."""
     if full:
-        return preprocess_pipeline(img, target=target, window=window)
+        img = median_filter(histogram_equalize(img), window)
     return normalize(resize(img, target))
 
 

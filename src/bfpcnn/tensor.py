@@ -61,8 +61,13 @@ class Tensor:
 
     @classmethod
     def from_array(cls, array, requires_grad: bool = False) -> "Tensor":
-        arr = np.asarray(array, dtype=np.float32)
-        return cls(list(arr.shape), arr.reshape(-1).copy(), requires_grad)
+        """A tensor of ``array``'s shape holding one float32 copy of it."""
+        data = np.array(array, dtype=np.float32, order="C")
+        if any(d < 1 for d in data.shape):
+            raise ZeroDim(f"invalid shape {list(data.shape)}: every dimension must be >= 1")
+        t = cls._wrap(data)
+        t.requires_grad = requires_grad
+        return t
 
     @classmethod
     def _wrap(cls, data: np.ndarray) -> "Tensor":
@@ -123,9 +128,6 @@ class Tensor:
 
     def __sub__(self, other) -> "Tensor":
         return self + (-other if isinstance(other, Tensor) else -float(other))
-
-    def __rsub__(self, other) -> "Tensor":
-        return (-self) + float(other)
 
     def __matmul__(self, other) -> "Tensor":
         return matmul(self, other)

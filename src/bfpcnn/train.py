@@ -242,9 +242,7 @@ def evaluate(model: ModelGraph, images: np.ndarray, labels: np.ndarray,
     loss_sum = 0.0
     for start in range(0, len(labels), batch_size):
         stop = min(start + batch_size, len(labels))
-        chunk = images[start:stop]
-        batch = Tensor(list(chunk.shape), chunk.reshape(-1).copy())
-        probs = forward(model, batch, "infer")
+        probs = forward(model, Tensor.from_array(images[start:stop]), "infer")
         preds[start:stop] = probs.data.argmax(axis=1)
         loss_sum += cross_entropy_loss(probs, labels[start:stop]).item() * (stop - start)
     return preds, loss_sum / max(len(labels), 1)
@@ -278,9 +276,8 @@ def train(model: ModelGraph, data: Dataset, cfg: TrainConfig) -> MetricsReport:
         order = shuffle_rng.permutation(train_idx)
         for start in range(0, len(order), cfg.batch_size):
             chosen = order[start:start + cfg.batch_size]
-            chunk = data.images[chosen]
-            batch = Tensor(list(chunk.shape), chunk.reshape(-1).copy())
-            probs = forward(model, batch, "train", rng=dropout_rng)
+            probs = forward(model, Tensor.from_array(data.images[chosen]), "train",
+                            rng=dropout_rng)
             loss = cross_entropy_loss(probs, data.labels[chosen])
             model.zero_grads()
             loss.backward()

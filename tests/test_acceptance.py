@@ -93,8 +93,7 @@ def reduced_config() -> ModelConfig:
         inception1=InceptionConfig(4, 4, 4, 4, 4, 4),
         inception2=InceptionConfig(4, 4, 4, 4, 4, 4),
         sep_block_filters=(16,),
-        spatial_attn=SpatialAttentionConfig(d=2, filters=None, kernel=3,
-                                            dilations=(1, 2)),
+        spatial_attn=SpatialAttentionConfig(filters=None, kernel=3, dilations=(1, 2)),
         dense_units=64,
         dropout_rate=0.25,
         attn_dropout=0.0,
@@ -172,7 +171,7 @@ def test_criterion_2_gradient_correctness():
         op_case(lambda t: (softmax(t) * Tensor([2, 4], sc.copy())).sum(),
                 smooth_values(rng, (2, 4)))
 
-        op_case(lambda t: dropout(t, 0.4, "train", 1234 + seed).sum(),
+        op_case(lambda t: dropout(t, 0.4, "train", np.random.default_rng(1234 + seed)).sum(),
                 smooth_values(rng, (4, 4)))
 
     # composite blocks, at the composite budget
@@ -181,16 +180,16 @@ def test_criterion_2_gradient_correctness():
 
         icfg = InceptionConfig(1, 1, 1, 1, 1, 1)
         ip = InceptionParams.create(rng, 2, icfg)
-        op_case(lambda t: inception_block(t, icfg, ip).sum(),
+        op_case(lambda t: inception_block(t, ip).sum(),
                 smooth_values(rng, (1, 2, 4, 4)), tol=COMPOSITE_TOL)
 
-        ap = SelfAttentionParams.create(rng, 2, attn_dropout=0.0, out_dropout=0.0)
-        op_case(lambda t: self_attention(t, ap, "infer").sum(),
+        ap = SelfAttentionParams.create(rng, 2, 0.0)
+        op_case(lambda t: (t + self_attention(t, ap, "infer")).sum(),
                 smooth_values(rng, (1, 2, 2, 2)), tol=COMPOSITE_TOL)
 
-        scfg = SpatialAttentionConfig(d=2, filters=2, kernel=3, dilations=(1, 2))
+        scfg = SpatialAttentionConfig(filters=2, kernel=3, dilations=(1, 2))
         sp = SpatialAttentionParams.create(rng, 2, scfg)
-        op_case(lambda t: spatial_attention(t, scfg, sp, "train").sum(),
+        op_case(lambda t: spatial_attention(t, sp, "train").sum(),
                 smooth_values(rng, (1, 2, 4, 4)), tol=COMPOSITE_TOL)
 
         rp = ResidualBlockParams.create(rng, 2)
@@ -266,7 +265,7 @@ def test_criterion_4_concatenation_bitwise():
         cfg = InceptionConfig(2, 3, 2, 2, 3, 2)
         params = InceptionParams.create(rng, 3, cfg)
         xv = smooth_values(rng, (2, 3, 5, 5))
-        out = inception_block(Tensor([2, 3, 5, 5], xv.copy()), cfg, params).data
+        out = inception_block(Tensor([2, 3, 5, 5], xv.copy()), params).data
 
         x = Tensor([2, 3, 5, 5], xv.copy())
         paths = [
@@ -289,19 +288,17 @@ def test_criterion_5_attention_normalization_and_equivariance():
         rng = np.random.default_rng(50_000 + seed)
         c, h, w = 3, 2, 3
         t = h * w
-        params = SelfAttentionParams.create(rng, c, attn_dropout=0.0,
-                                            out_dropout=0.0)
+        params = SelfAttentionParams.create(rng, c, 0.0)
         xv = smooth_values(rng, (2, c, h, w))
         _, attn = self_attention(Tensor([2, c, h, w], xv.copy()), params,
-                                 "infer", residual=False, return_attn=True)
+                                 "infer", return_attn=True)
         assert np.allclose(attn.sum(axis=2), 1.0, atol=1e-6)
 
-        base = self_attention(Tensor([2, c, h, w], xv.copy()), params, "infer",
-                              residual=False).data
+        base = self_attention(Tensor([2, c, h, w], xv.copy()), params, "infer").data
         perm = rng.permutation(t)
         permuted = xv.reshape(2, c, t)[:, :, perm].reshape(2, c, h, w)
         moved = self_attention(Tensor([2, c, h, w], permuted.copy()), params,
-                               "infer", residual=False).data
+                               "infer").data
         assert np.array_equal(moved.reshape(2, c, t),
                               base.reshape(2, c, t)[:, :, perm])
     announce(5, True, "attention rows sum to 1 +- 1e-6; position-permutation "

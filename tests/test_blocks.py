@@ -34,7 +34,7 @@ class TestInceptionBlock:
         cfg = InceptionConfig(64, 48, 64, 16, 32, 32)
         x = Tensor([1, 3, 8, 8], smooth_values(rng, (1, 3, 8, 8)))
         params = InceptionParams.create(rng, 3, cfg)
-        out = inception_block(x, cfg, params)
+        out = inception_block(x, params)
         assert out.shape == (1, 192, 8, 8)
         assert cfg.out_channels == 192
 
@@ -45,14 +45,14 @@ class TestInceptionBlock:
         for p in (params.p1, params.p2a, params.p2b, params.p3a, params.p3b, params.p4):
             zero_conv(p)
         x = Tensor([1, 2, 5, 5], smooth_values(rng, (1, 2, 5, 5)))
-        assert np.all(inception_block(x, cfg, params).data == 0.0)
+        assert np.all(inception_block(x, params).data == 0.0)
 
     def test_spatial_dims_preserved(self):
         rng = np.random.default_rng(3)
         cfg = InceptionConfig(1, 1, 1, 1, 1, 1)
         params = InceptionParams.create(rng, 4, cfg)
         x = Tensor([2, 4, 8, 8], smooth_values(rng, (2, 4, 8, 8)))
-        assert inception_block(x, cfg, params).shape == (2, 4, 8, 8)
+        assert inception_block(x, params).shape == (2, 4, 8, 8)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_channels_match_standalone_paths_bitwise(self, seed):
@@ -60,7 +60,7 @@ class TestInceptionBlock:
         cfg = InceptionConfig(2, 3, 2, 2, 3, 2)
         params = InceptionParams.create(rng, 3, cfg)
         xv = smooth_values(rng, (2, 3, 6, 6))
-        out = inception_block(Tensor([2, 3, 6, 6], xv.copy()), cfg, params).data
+        out = inception_block(Tensor([2, 3, 6, 6], xv.copy()), params).data
 
         x = Tensor([2, 3, 6, 6], xv.copy())
         p1 = relu(conv2d(x, params.p1)).data
@@ -80,15 +80,13 @@ class TestInceptionBlock:
         xv = smooth_values(rng, (1, 2, 4, 4))
 
         def f(t):
-            return inception_block(t, cfg, params).sum()
+            return inception_block(t, params).sum()
 
         check_grad(f, Tensor([1, 2, 4, 4], xv.copy()), tol=1e-3)
 
 
-def attention_params(rng, channels, attn_dropout=0.0, out_dropout=0.0):
-    return SelfAttentionParams.create(rng, channels,
-                                      attn_dropout=attn_dropout,
-                                      out_dropout=out_dropout)
+def attention_params(rng, channels, dropout=0.0):
+    return SelfAttentionParams.create(rng, channels, dropout)
 
 
 class TestSelfAttention:
@@ -97,7 +95,7 @@ class TestSelfAttention:
         p = attention_params(rng, 3)
         xv = smooth_values(rng, (1, 3, 1, 1))
         out, attn = self_attention(Tensor([1, 3, 1, 1], xv.copy()), p, "infer",
-                                   residual=False, return_attn=True)
+                                   return_attn=True)
         assert attn.shape == (1, 1, 1)
         assert np.allclose(attn, 1.0, atol=1e-7)
         vec = xv.reshape(1, 3)
@@ -114,7 +112,7 @@ class TestSelfAttention:
         rng = np.random.default_rng(200 + seed)
         p = attention_params(rng, 3)
         x = Tensor([2, 3, 3, 2], smooth_values(rng, (2, 3, 3, 2)))
-        _, attn = self_attention(x, p, "infer", residual=False, return_attn=True)
+        _, attn = self_attention(x, p, "infer", return_attn=True)
         assert np.allclose(attn.sum(axis=2), 1.0, atol=1e-6)
 
     def test_uniform_attention_averages_values(self):
@@ -123,7 +121,7 @@ class TestSelfAttention:
         p.wq.data[:] = 0.0  # scores vanish: softmax rows are uniform
         xv = smooth_values(rng, (1, 2, 2, 1))
         out, attn = self_attention(Tensor([1, 2, 2, 1], xv.copy()), p, "infer",
-                                   residual=False, return_attn=True)
+                                   return_attn=True)
         assert np.allclose(attn, 0.5, atol=1e-6)
         seq = xv.reshape(2, 2).T  # positions are the channel-slices: [T=2, C=2]
         mean_v = (seq @ p.wv.data).mean(axis=0)
@@ -138,35 +136,23 @@ class TestSelfAttention:
         t = h * w
         p = attention_params(rng, c)
         xv = smooth_values(rng, (1, c, h, w))
-        base = self_attention(Tensor([1, c, h, w], xv.copy()), p, "infer",
-                              residual=False).data
+        base = self_attention(Tensor([1, c, h, w], xv.copy()), p, "infer").data
 
         perm = rng.permutation(t)
         permuted = xv.reshape(1, c, t)[:, :, perm].reshape(1, c, h, w)
-        out_p = self_attention(Tensor([1, c, h, w], permuted.copy()), p, "infer",
-                               residual=False).data
+        out_p = self_attention(Tensor([1, c, h, w], permuted.copy()), p, "infer").data
         assert np.array_equal(out_p.reshape(1, c, t),
                               base.reshape(1, c, t)[:, :, perm])
 
-    def test_residual_adds_input(self):
-        rng = np.random.default_rng(13)
-        p = attention_params(rng, 2)
-        xv = smooth_values(rng, (1, 2, 2, 2))
-        plain = self_attention(Tensor([1, 2, 2, 2], xv.copy()), p, "infer",
-                               residual=False).data
-        wrapped = self_attention(Tensor([1, 2, 2, 2], xv.copy()), p, "infer",
-                                 residual=True).data
-        assert np.allclose(wrapped, plain + xv, atol=1e-6)
-
     def test_train_dropout_needs_rng(self):
         rng = np.random.default_rng(14)
-        p = attention_params(rng, 2, attn_dropout=0.1)
+        p = attention_params(rng, 2, dropout=0.1)
         with pytest.raises(ValueError):
             self_attention(Tensor([1, 2, 2, 2], 1.0), p, "train")
 
     def test_dropout_deterministic_under_rng(self):
         rng = np.random.default_rng(15)
-        p = attention_params(rng, 2, attn_dropout=0.3, out_dropout=0.3)
+        p = attention_params(rng, 2, dropout=0.3)
         xv = smooth_values(rng, (1, 2, 2, 2))
         a = self_attention(Tensor([1, 2, 2, 2], xv.copy()), p, "train",
                            rng=np.random.default_rng(5)).data
@@ -181,7 +167,7 @@ class TestSelfAttention:
         xv = smooth_values(rng, (1, 2, 2, 2))
 
         def f(t):
-            return self_attention(t, p, "infer", residual=True).sum()
+            return (t + self_attention(t, p, "infer")).sum()
 
         check_grad(f, Tensor([1, 2, 2, 2], xv.copy()), tol=1e-3)
 
@@ -192,9 +178,8 @@ class TestSelfAttention:
         wq0 = p.wq.data.copy()
 
         def f(t):
-            params = SelfAttentionParams(t, p.wk, p.wv, p.wo, p.scale, 0.0, 0.0)
-            return self_attention(Tensor([1, 2, 2, 1], xv.copy()), params,
-                                  "infer", residual=False).sum()
+            params = SelfAttentionParams(t, p.wk, p.wv, p.wo, p.scale, 0.0)
+            return self_attention(Tensor([1, 2, 2, 1], xv.copy()), params, "infer").sum()
 
         check_grad(f, Tensor([2, 2], wq0.reshape(-1)), tol=1e-3)
 
@@ -202,23 +187,23 @@ class TestSelfAttention:
 class TestSpatialAttention:
     def test_single_branch_equals_conv_bn(self):
         rng = np.random.default_rng(20)
-        cfg = SpatialAttentionConfig(d=1, filters=3, kernel=3, dilations=(1,))
+        cfg = SpatialAttentionConfig(filters=3, kernel=3, dilations=(1,))
         params = SpatialAttentionParams.create(rng, 2, cfg)
         xv = smooth_values(rng, (2, 2, 4, 4))
-        out = spatial_attention(Tensor([2, 2, 4, 4], xv.copy()), cfg, params, "infer").data
+        out = spatial_attention(Tensor([2, 2, 4, 4], xv.copy()), params, "infer").data
         conv_p, bn_p = params.branches[0]
         direct = batchnorm(conv2d(Tensor([2, 2, 4, 4], xv.copy()), conv_p), bn_p, "infer").data
         assert np.array_equal(out, direct)
 
     def test_constant_branches_sum(self):
         rng = np.random.default_rng(21)
-        cfg = SpatialAttentionConfig(d=2, filters=2, kernel=3, dilations=(1, 2))
+        cfg = SpatialAttentionConfig(filters=2, kernel=3, dilations=(1, 2))
         params = SpatialAttentionParams.create(rng, 2, cfg)
         for _, bn in params.branches:
             bn.gamma.data[:] = 0.0
             bn.beta.data[:] = 1.0
         x = Tensor([1, 2, 4, 4], smooth_values(rng, (1, 2, 4, 4)))
-        out = spatial_attention(x, cfg, params, "train")
+        out = spatial_attention(x, params, "train")
         assert np.all(out.data == 2.0)
 
     def test_dims_preserved(self):
@@ -226,33 +211,30 @@ class TestSpatialAttention:
         cfg = SpatialAttentionConfig()
         params = SpatialAttentionParams.create(rng, 3, cfg)
         x = Tensor([2, 3, 5, 5], smooth_values(rng, (2, 3, 5, 5)))
-        assert spatial_attention(x, cfg, params, "infer").shape == (2, 3, 5, 5)
+        assert spatial_attention(x, params, "infer").shape == (2, 3, 5, 5)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_equals_sum_of_single_branches(self, d):
         rng = np.random.default_rng(23 + d)
-        cfg = SpatialAttentionConfig(d=d, filters=2, kernel=3,
-                                     dilations=tuple(range(1, d + 1)))
+        cfg = SpatialAttentionConfig(filters=2, kernel=3, dilations=tuple(range(1, d + 1)))
         params = SpatialAttentionParams.create(rng, 2, cfg)
         xv = smooth_values(rng, (1, 2, 4, 4))
-        combined = spatial_attention(Tensor([1, 2, 4, 4], xv.copy()), cfg, params,
-                                     "infer").data
-        single_cfg = SpatialAttentionConfig(d=1, filters=2, kernel=3, dilations=(1,))
+        combined = spatial_attention(Tensor([1, 2, 4, 4], xv.copy()), params, "infer").data
         total = None
         for branch in params.branches:
-            single = spatial_attention(Tensor([1, 2, 4, 4], xv.copy()), single_cfg,
+            single = spatial_attention(Tensor([1, 2, 4, 4], xv.copy()),
                                        SpatialAttentionParams([branch]), "infer").data
             total = single if total is None else total + single
         assert np.array_equal(combined, total)
 
     def test_gradients(self):
         rng = np.random.default_rng(25)
-        cfg = SpatialAttentionConfig(d=2, filters=2, kernel=3, dilations=(1, 2))
+        cfg = SpatialAttentionConfig(filters=2, kernel=3, dilations=(1, 2))
         params = SpatialAttentionParams.create(rng, 2, cfg)
         xv = smooth_values(rng, (1, 2, 4, 4))
 
         def f(t):
-            return spatial_attention(t, cfg, params, "train").sum()
+            return spatial_attention(t, params, "train").sum()
 
         check_grad(f, Tensor([1, 2, 4, 4], xv.copy()), tol=1e-3)
 

@@ -377,7 +377,7 @@ class TestExitCodes:
         "model.stem_kernel = 0", "model.spatial_kernel = 0", "model.dense_units = 0",
         "model.stem_filters = 0", "model.refine_filters = 0",
         "model.spatial_filters = 0", "model.spatial_dilations = 1,-2",
-        "model.sep_blocks = 0",
+        "model.sep_blocks = 0", "model.spatial_dilations =",
     ])
     def test_nonpositive_width_is_config_error(self, tmp_path, capsys, line):
         gen_synthetic(tmp_path / "data", per_class=2, size=16, seed=1)
@@ -387,6 +387,32 @@ class TestExitCodes:
                      "--epochs", "1", "--out", str(out)]) == 1
         assert "bad model configuration value" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("count", [3, 6])
+    def test_class_count_other_than_class_list_is_config_error(self, tmp_path, capsys,
+                                                               count):
+        gen_synthetic(tmp_path / "data", per_class=2, size=16, seed=1)
+        cfg = write_tiny_config(tmp_path / "tiny.cfg", f"model.class_count = {count}\n")
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(tmp_path / "data"), "--config", str(cfg),
+                     "--epochs", "1", "--out", str(out)]) == 1
+        assert "model.class_count must be 4" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["gen", "--per-class", "0", "--size", "8", "--seed", "1"],
+        ["gen", "--per-class", "1", "--size", "0", "--seed", "1"],
+        ["preprocess", "--target", "0"],
+    ], ids=["per-class", "size", "target"])
+    def test_nonpositive_count_is_usage_error(self, tmp_path, capsys, args):
+        gen_synthetic(tmp_path / "data", per_class=1, size=8, seed=1)
+        if args[0] == "preprocess":
+            args = args + ["--in", str(tmp_path / "data")]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 1
+        assert "must be >= 1, got 0" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_existing_out_refused_before_reading_data(self, tmp_path, capsys, command):

@@ -508,16 +508,16 @@ class TestSoftmax:
 class TestDropout:
     def test_rate_zero_identity(self):
         x = Tensor([3, 3], 1.0)
-        assert dropout(x, 0.0, "train", 0) is x
+        assert dropout(x, 0.0, "train", np.random.default_rng(0)) is x
 
     def test_infer_identity(self):
         x = Tensor([3, 3], 1.0)
-        assert dropout(x, 0.9, "infer", 0) is x
+        assert dropout(x, 0.9, "infer", np.random.default_rng(0)) is x
 
     def test_statistics(self):
         rng = np.random.default_rng(61)
         x = Tensor([100, 100], 1.0)
-        out = dropout(x, 0.5, "train", 7)
+        out = dropout(x, 0.5, "train", np.random.default_rng(7))
         survivors = np.count_nonzero(out.data) / out.size
         sigma = np.sqrt(0.25 / out.size)
         assert abs(survivors - 0.5) <= 3 * sigma
@@ -525,16 +525,20 @@ class TestDropout:
 
     def test_deterministic_under_seed(self):
         x = Tensor([4, 4], 1.0)
-        a = dropout(x, 0.5, "train", 123).data
-        b = dropout(Tensor([4, 4], 1.0), 0.5, "train", 123).data
+        a = dropout(x, 0.5, "train", np.random.default_rng(123)).data
+        b = dropout(Tensor([4, 4], 1.0), 0.5, "train", np.random.default_rng(123)).data
         assert np.array_equal(a, b)
 
     def test_rejects_rate_one(self):
         with pytest.raises(ValueError):
-            dropout(Tensor([2], 1.0), 1.0, "train", 0)
+            dropout(Tensor([2], 1.0), 1.0, "train", np.random.default_rng(0))
+
+    def test_train_needs_rng(self):
+        with pytest.raises(ValueError):
+            dropout(Tensor([2], 1.0), 0.5, "train", None)
 
     def test_gradient_with_fixed_mask(self):
         rng = np.random.default_rng(62)
         xv = smooth_values(rng, (4, 4))
-        check_grad(lambda t: dropout(t, 0.5, "train", 99).sum(),
+        check_grad(lambda t: dropout(t, 0.5, "train", np.random.default_rng(99)).sum(),
                    Tensor([4, 4], xv.copy()), tol=1e-3)

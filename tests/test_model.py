@@ -5,7 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bfpcnn.blocks import InceptionConfig, SpatialAttentionConfig
+from bfpcnn.blocks import (
+    InceptionConfig,
+    SelfAttentionParams,
+    SpatialAttentionConfig,
+    self_attention,
+)
 from bfpcnn.errors import (
     BadMagic,
     ConfigError,
@@ -38,7 +43,7 @@ def tiny_config(seed=0, **overrides) -> ModelConfig:
         inception1=InceptionConfig(1, 1, 1, 1, 1, 1),
         inception2=InceptionConfig(1, 1, 1, 1, 1, 1),
         sep_block_filters=(4,),
-        spatial_attn=SpatialAttentionConfig(d=2, filters=None, kernel=3, dilations=(1, 2)),
+        spatial_attn=SpatialAttentionConfig(filters=None, kernel=3, dilations=(1, 2)),
         dense_units=4,
         dropout_rate=0.0,
         attn_dropout=0.0,
@@ -142,11 +147,15 @@ class TestBuild:
             tiny_config(**override)
 
     @pytest.mark.parametrize("fields", [
-        {"kernel": 0}, {"filters": 0}, {"d": 2, "dilations": (1, 0)},
+        {"kernel": 0}, {"filters": 0}, {"dilations": (1, 0)},
     ])
     def test_nonpositive_spatial_value_rejected(self, fields):
         with pytest.raises(ValueError):
             SpatialAttentionConfig(**fields)
+
+    def test_spatial_attention_needs_a_dilation(self):
+        with pytest.raises(ValueError):
+            SpatialAttentionConfig(dilations=())
 
     def test_batch_shape_checked(self):
         model = build_model(tiny_config())
@@ -208,6 +217,19 @@ class TestForwardProperties:
         model = build_model(tiny_config(dropout_rate=0.5))
         with pytest.raises(ValueError):
             forward(model, Tensor([2, 1, 16, 16], 0.5), "train")
+
+    @pytest.mark.parametrize("mode", ["infer", "train"])
+    def test_attention_layer_adds_residual(self, mode):
+        model = build_model(tiny_config(attn_dropout=0.2))
+        layer = dict(model.layers)["attention"]
+        # 4 channels: the output depth of tiny_config's inception1
+        params = SelfAttentionParams.create(np.random.default_rng(0), 4, 0.2)
+        params.wq, params.wk, params.wv, params.wo = (t for _, t, _ in layer.tensors)
+        xv = np.random.default_rng(8).random((2, 4, 3, 3), dtype=np.float32)
+        out = layer.forward(Tensor([2, 4, 3, 3], xv.copy()), mode, np.random.default_rng(9))
+        x = Tensor([2, 4, 3, 3], xv.copy())
+        expected = x + self_attention(x, params, mode, rng=np.random.default_rng(9))
+        assert np.array_equal(out.data, expected.data)
 
     def test_train_mode_runs_with_rng(self):
         model = build_model(tiny_config(dropout_rate=0.5, attn_dropout=0.1))
@@ -415,22 +437,6 @@ class TestCheckpoint:
             pos += 4 * n
         assert pos == len(raw)  # no padding, no trailer
 
-    def test_config_discovery_next_to_checkpoint(self, tmp_path):
-        cfg = tiny_config(seed=21)
-        model = build_model(cfg)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
-        lines = [f"{k} = {v}" for k, v in sorted(cfg.to_kv().items())]
-        (tmp_path / "config.txt").write_text("\n".join(lines) + "\n")
-        restored = load_checkpoint(path)
-        assert restored.config.input_size == 16
-
-    def test_missing_config_discovery(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(build_model(tiny_config()), path)
-        with pytest.raises(ConfigError):
-            load_checkpoint(path)
-
 
 class TestConfigSerialization:
     def test_kv_roundtrip(self):
@@ -461,7 +467,7 @@ class TestDefaultConfig:
         assert cfg.input_size == 224 and cfg.class_count == 4
         assert cfg.stem_filters == 64 and cfg.stem_kernel == 7
         model = build_model(cfg)
-        assert model.total_params == expected_param_count(cfg)
+        assert param_count(model) == expected_param_count(cfg)
         rng = np.random.default_rng(1)
         batch = rng.random((2, 1, 224, 224), dtype=np.float32)
         out = forward(model, Tensor([2, 1, 224, 224], batch), "infer")

@@ -9,7 +9,7 @@ from bfpcnn.preprocess import (
     histogram_equalize,
     median_filter,
     normalize,
-    preprocess_pipeline,
+    prepare,
     read_pgm,
     resize,
     write_pgm,
@@ -218,18 +218,18 @@ class TestNormalize:
 class TestPipeline:
     def test_constant_image(self):
         img = GrayImage.from_array(np.full((6, 6), 90, np.uint8))
-        out = preprocess_pipeline(img, target=6, window=3)
+        out = prepare(img, target=6, window=3, full=True)
         assert np.allclose(out.values, 90 / 255)
 
     def test_two_level_compose(self):
         img = GrayImage.from_array(np.array([[10, 10], [20, 20]], np.uint8))
-        out = preprocess_pipeline(img, target=2, window=1)
+        out = prepare(img, target=2, window=1, full=True)
         assert np.allclose(out.values, [[0, 0], [1, 1]])
 
     @pytest.mark.parametrize("seed", range(10))
     def test_output_in_unit_range(self, seed):
         rng = np.random.default_rng(7000 + seed)
-        out = preprocess_pipeline(random_image(rng), target=12, window=3)
+        out = prepare(random_image(rng), target=12, window=3, full=True)
         assert out.values.shape == (12, 12)
         assert out.values.min() >= 0.0 and out.values.max() <= 1.0
 

@@ -263,8 +263,7 @@ def toy_model(seed=0):
         inception1=InceptionConfig(1, 1, 1, 1, 1, 1),
         inception2=InceptionConfig(1, 1, 1, 1, 1, 1),
         sep_block_filters=(4,),
-        spatial_attn=SpatialAttentionConfig(d=2, filters=None, kernel=3,
-                                            dilations=(1, 2)),
+        spatial_attn=SpatialAttentionConfig(filters=None, kernel=3, dilations=(1, 2)),
         dense_units=8,
         dropout_rate=0.0,
         attn_dropout=0.0,
