@@ -88,7 +88,6 @@ class SelfAttentionParams:
     wk: Tensor
     wv: Tensor
     wo: Tensor
-    scale: float
     dropout: float
 
     @classmethod
@@ -99,7 +98,6 @@ class SelfAttentionParams:
             wk=he_uniform(rng, (channels, channels), channels),
             wv=he_uniform(rng, (channels, channels), channels),
             wo=he_uniform(rng, (channels, channels), channels),
-            scale=float(np.float32(1.0) / np.sqrt(np.float32(channels))),
             dropout=dropout,
         )
 
@@ -149,7 +147,8 @@ def self_attention(x: Tensor, p: SelfAttentionParams, mode: Mode,
     k = matmul(flat, p.wk).reshape([n, t, c])
     v = matmul(flat, p.wv).reshape([n, t, c])
 
-    scores = bmm(q, k.transpose(0, 2, 1)) * p.scale
+    scale = float(np.float32(1.0) / np.sqrt(np.float32(c)))
+    scores = bmm(q, k.transpose(0, 2, 1)) * scale
     attn = softmax_rows(scores.reshape([n * t, t])).reshape([n, t, t])
     attn_kept = dropout(attn, p.dropout, mode, rng)
     mixed = bmm(attn_kept, v)

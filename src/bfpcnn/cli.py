@@ -74,9 +74,6 @@ class RunSpec:
         if unknown:
             raise errors.ConfigError(f"unknown configuration keys: {sorted(unknown)}")
         model = ModelConfig.from_kv(kv)
-        if model.class_count != len(CLASS_NAMES):
-            raise errors.ConfigError(f"model.class_count must be {len(CLASS_NAMES)}, "
-                                     f"one per class in {CLASS_NAMES}")
         base = TrainConfig()
         try:
             train_cfg = TrainConfig(

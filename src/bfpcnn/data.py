@@ -13,10 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MissingClassDir
+from .model import CLASS_NAMES
 from .preprocess import GrayImage, prepare, read_pgm, write_pgm
 from .train import Dataset
-
-CLASS_NAMES = ("MildDemented", "ModerateDemented", "NonDemented", "VeryMildDemented")
 
 
 @dataclass

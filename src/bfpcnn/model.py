@@ -50,6 +50,9 @@ from .layers import (
 )
 from .tensor import Tensor
 
+# the classifier's outputs in order, and the dataset's class directory names
+CLASS_NAMES = ("MildDemented", "ModerateDemented", "NonDemented", "VeryMildDemented")
+
 CHECKPOINT_MAGIC = b"BFPC"
 CHECKPOINT_VERSION = 1
 
@@ -60,7 +63,6 @@ class ModelConfig:
     common inception-style widths; every width is sweepable."""
 
     input_size: int = 224
-    class_count: int = 4
     stem_filters: int = 64
     stem_kernel: int = 7
     refine_filters: tuple[int, ...] = (64, 192)
@@ -76,8 +78,6 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.class_count < 2:
-            raise ValueError("class_count must be >= 2")
         if self.input_size < 1:
             raise ValueError("input_size must be positive")
         if min(self.stem_filters, self.stem_kernel, self.dense_units,
@@ -93,7 +93,7 @@ class ModelConfig:
         sa = self.spatial_attn
         return {
             "model.input_size": str(self.input_size),
-            "model.class_count": str(self.class_count),
+            "model.class_count": str(len(CLASS_NAMES)),
             "model.stem_filters": str(self.stem_filters),
             "model.stem_kernel": str(self.stem_kernel),
             "model.refine_filters": ints(self.refine_filters),
@@ -113,6 +113,9 @@ class ModelConfig:
     def from_kv(cls, kv: dict[str, str]) -> "ModelConfig":
         base = cls()
         try:
+            if int(kv.get("model.class_count", len(CLASS_NAMES))) != len(CLASS_NAMES):
+                raise ConfigError(f"model.class_count must be {len(CLASS_NAMES)}, "
+                                  f"one per class in {CLASS_NAMES}")
             dilations = _parse_ints(kv.get("model.spatial_dilations",
                                            ",".join(map(str, base.spatial_attn.dilations))))
             filters_raw = kv.get("model.spatial_filters", "auto")
@@ -123,7 +126,6 @@ class ModelConfig:
             )
             return cls(
                 input_size=int(kv.get("model.input_size", base.input_size)),
-                class_count=int(kv.get("model.class_count", base.class_count)),
                 stem_filters=int(kv.get("model.stem_filters", base.stem_filters)),
                 stem_kernel=int(kv.get("model.stem_kernel", base.stem_kernel)),
                 refine_filters=tuple(_parse_ints(kv.get(
@@ -303,9 +305,10 @@ def build_model(cfg: ModelConfig) -> ModelGraph:
                                   Tensor([cfg.dense_units], 0.0, requires_grad=True), True)))
     layers.append(("head_dropout",
                    Layer(lambda x, mode, rng: dropout(x, cfg.dropout_rate, mode, rng))))
-    layers.append(("classify", _dense(he_uniform(rng, (cfg.dense_units, cfg.class_count),
+    classes = len(CLASS_NAMES)
+    layers.append(("classify", _dense(he_uniform(rng, (cfg.dense_units, classes),
                                                  cfg.dense_units),
-                                      Tensor([cfg.class_count], 0.0, requires_grad=True),
+                                      Tensor([classes], 0.0, requires_grad=True),
                                       False)))
     layers.append(("softmax", Layer(lambda x, mode, rng: softmax(x))))
 
@@ -314,7 +317,7 @@ def build_model(cfg: ModelConfig) -> ModelGraph:
 
 def forward(model: ModelGraph, batch: Tensor, mode: Mode,
             rng: np.random.Generator | None = None) -> Tensor:
-    """Run the stack on a [N, 1, S, S] batch; returns [N, class_count] rows
+    """Run the stack on a [N, 1, S, S] batch; returns [N, len(CLASS_NAMES)] rows
     of class probabilities."""
     s = model.config.input_size
     if batch.data.ndim != 4 or batch.shape[1] != 1 or batch.shape[2:] != (s, s):

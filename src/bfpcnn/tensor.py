@@ -36,15 +36,20 @@ class TapeNode:
         self.backward_fn = backward_fn
 
 
+def _positive_dims(shape: Sequence[int]) -> list[int]:
+    dims = [int(d) for d in shape]
+    if any(d < 1 for d in dims):
+        raise ZeroDim(f"invalid shape {dims}: every dimension must be >= 1")
+    return dims
+
+
 class Tensor:
     """Row-major float32 array with optional gradient tracking."""
 
     __slots__ = ("data", "grad", "requires_grad", "node")
 
     def __init__(self, shape: Sequence[int], fill=0.0, requires_grad: bool = False):
-        dims = [int(d) for d in shape]
-        if any(d < 1 for d in dims):
-            raise ZeroDim(f"invalid shape {dims}: every dimension must be >= 1")
+        dims = _positive_dims(shape)
         count = math.prod(dims)
         if np.isscalar(fill):
             data = np.full(dims, fill, dtype=np.float32)
@@ -60,14 +65,11 @@ class Tensor:
         self.node: TapeNode | None = None
 
     @classmethod
-    def from_array(cls, array, requires_grad: bool = False) -> "Tensor":
+    def from_array(cls, array) -> "Tensor":
         """A tensor of ``array``'s shape holding one float32 copy of it."""
         data = np.array(array, dtype=np.float32, order="C")
-        if any(d < 1 for d in data.shape):
-            raise ZeroDim(f"invalid shape {list(data.shape)}: every dimension must be >= 1")
-        t = cls._wrap(data)
-        t.requires_grad = requires_grad
-        return t
+        _positive_dims(data.shape)
+        return cls._wrap(data)
 
     @classmethod
     def _wrap(cls, data: np.ndarray) -> "Tensor":

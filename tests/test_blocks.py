@@ -103,9 +103,18 @@ class TestSelfAttention:
         assert np.allclose(out.data.reshape(1, 3), expected, atol=1e-5)
 
     def test_scale_matches_dk(self):
+        # scores are q.k / sqrt(C): the keys are C wide
         rng = np.random.default_rng(11)
         p = attention_params(rng, 4)
-        assert p.scale == float(np.float32(1.0) / np.sqrt(np.float32(4)))
+        xv = smooth_values(rng, (1, 4, 3, 1))
+        _, attn = self_attention(Tensor([1, 4, 3, 1], xv.copy()), p, "infer",
+                                 return_attn=True)
+        seq = xv.reshape(4, 3).T
+        canon = seq[np.lexsort(seq.T[::-1])]
+        scores = (canon @ p.wq.data) @ (canon @ p.wk.data).T / np.sqrt(4.0)
+        expected = np.exp(scores - scores.max(axis=1, keepdims=True))
+        expected /= expected.sum(axis=1, keepdims=True)
+        assert np.allclose(attn[0], expected, atol=1e-5)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rows_sum_to_one(self, seed):
@@ -178,7 +187,7 @@ class TestSelfAttention:
         wq0 = p.wq.data.copy()
 
         def f(t):
-            params = SelfAttentionParams(t, p.wk, p.wv, p.wo, p.scale, 0.0)
+            params = SelfAttentionParams(t, p.wk, p.wv, p.wo, 0.0)
             return self_attention(Tensor([1, 2, 2, 1], xv.copy()), params, "infer").sum()
 
         check_grad(f, Tensor([2, 2], wq0.reshape(-1)), tol=1e-3)

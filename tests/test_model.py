@@ -21,6 +21,7 @@ from bfpcnn.errors import (
     VersionMismatch,
 )
 from bfpcnn.model import (
+    CLASS_NAMES,
     ModelConfig,
     build_model,
     forward,
@@ -96,7 +97,7 @@ def expected_param_count(cfg: ModelConfig) -> int:
 
     flat = c * side * side
     total += flat * cfg.dense_units + cfg.dense_units
-    total += cfg.dense_units * cfg.class_count + cfg.class_count
+    total += cfg.dense_units * len(CLASS_NAMES) + len(CLASS_NAMES)
     return total
 
 
@@ -147,15 +148,11 @@ class TestBuild:
             tiny_config(**override)
 
     @pytest.mark.parametrize("fields", [
-        {"kernel": 0}, {"filters": 0}, {"dilations": (1, 0)},
+        {"kernel": 0}, {"filters": 0}, {"dilations": (1, 0)}, {"dilations": ()},
     ])
     def test_nonpositive_spatial_value_rejected(self, fields):
         with pytest.raises(ValueError):
             SpatialAttentionConfig(**fields)
-
-    def test_spatial_attention_needs_a_dilation(self):
-        with pytest.raises(ValueError):
-            SpatialAttentionConfig(dilations=())
 
     def test_batch_shape_checked(self):
         model = build_model(tiny_config())
@@ -464,7 +461,7 @@ class TestConfigSerialization:
 class TestDefaultConfig:
     def test_default_build_and_forward(self):
         cfg = ModelConfig()
-        assert cfg.input_size == 224 and cfg.class_count == 4
+        assert cfg.input_size == 224 and cfg.to_kv()["model.class_count"] == "4"
         assert cfg.stem_filters == 64 and cfg.stem_kernel == 7
         model = build_model(cfg)
         assert param_count(model) == expected_param_count(cfg)
