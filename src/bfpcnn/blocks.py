@@ -56,7 +56,7 @@ class InceptionParams:
     p4: Conv2DParams
 
     @classmethod
-    def create(cls, rng: np.random.Generator, in_ch: int,
+    def create(cls, rng: np.random.Generator | None, in_ch: int,
                cfg: InceptionConfig) -> "InceptionParams":
         return cls(
             p1=Conv2DParams.create(rng, in_ch, cfg.f11, 1),
@@ -91,7 +91,7 @@ class SelfAttentionParams:
     dropout: float
 
     @classmethod
-    def create(cls, rng: np.random.Generator, channels: int,
+    def create(cls, rng: np.random.Generator | None, channels: int,
                dropout: float) -> "SelfAttentionParams":
         return cls(
             wq=he_uniform(rng, (channels, channels), channels),
@@ -187,7 +187,7 @@ class SpatialAttentionParams:
     branches: list[tuple[Conv2DParams, BatchNormParams]]
 
     @classmethod
-    def create(cls, rng: np.random.Generator, in_ch: int,
+    def create(cls, rng: np.random.Generator | None, in_ch: int,
                cfg: SpatialAttentionConfig) -> "SpatialAttentionParams":
         filters = in_ch if cfg.filters is None else cfg.filters
         branches = []
@@ -215,7 +215,7 @@ class ResidualBlockParams:
     bn2: BatchNormParams
 
     @classmethod
-    def create(cls, rng: np.random.Generator, channels: int) -> "ResidualBlockParams":
+    def create(cls, rng: np.random.Generator | None, channels: int) -> "ResidualBlockParams":
         return cls(
             conv1=Conv2DParams.create(rng, channels, channels, 3),
             bn1=BatchNormParams.create(channels),

@@ -120,11 +120,19 @@ def resolve_run_spec(config_path, lr, epochs, batch, seed) -> RunSpec:
     return RunSpec.from_kv(kv)
 
 
-def _positive_int(raw: str) -> int:
+def _int_at_least(raw: str, low: int) -> int:
     value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def _positive_int(raw: str) -> int:
+    return _int_at_least(raw, 1)
+
+
+def _non_negative_int(raw: str) -> int:
+    return _int_at_least(raw, 0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,7 +151,7 @@ def build_parser() -> _Parser:
     gen.add_argument("--out", required=True)
     gen.add_argument("--per-class", type=_positive_int, required=True)
     gen.add_argument("--size", type=_positive_int, required=True)
-    gen.add_argument("--seed", type=int, required=True)
+    gen.add_argument("--seed", type=_non_negative_int, required=True)
 
     prep = sub.add_parser("preprocess", help="equalize, filter and resize a tree")
     prep.add_argument("--in", dest="in_root", required=True)
@@ -159,7 +167,7 @@ def build_parser() -> _Parser:
     tr.add_argument("--lr", type=float)
     tr.add_argument("--epochs", type=int)
     tr.add_argument("--batch", type=int)
-    tr.add_argument("--seed", type=int)
+    tr.add_argument("--seed", type=_non_negative_int)
     tr.add_argument("--out", required=True)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
@@ -193,7 +201,8 @@ def main(argv=None) -> int:
 
 
 def cmd_gen(args) -> int:
-    manifest = gen_synthetic(args.out, args.per_class, args.size, args.seed)
+    with _StagingDir(args.out) as staging:
+        manifest = gen_synthetic(staging, args.per_class, args.size, args.seed)
     for name, count in zip(manifest.class_names, manifest.counts):
         print(f"{name}: {count}")
     print(f"wrote {sum(manifest.counts)} images under {args.out}")

@@ -53,7 +53,7 @@ class Conv2DParams:
             raise ValueError("kernel dims must be >= 1")
 
     @classmethod
-    def create(cls, rng: np.random.Generator, in_ch: int, out_ch: int, kernel: int,
+    def create(cls, rng: np.random.Generator | None, in_ch: int, out_ch: int, kernel: int,
                stride: int = 1, padding: Padding = "same", dilation: int = 1) -> "Conv2DParams":
         w = he_uniform(rng, (out_ch, in_ch, kernel, kernel), in_ch * kernel * kernel)
         return cls(w, Tensor([out_ch], 0.0, requires_grad=True), stride, padding, dilation)
@@ -81,18 +81,22 @@ class BatchNormParams:
                    Tensor([channels], 0.0, requires_grad=True))
 
 
-def he_uniform(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
+def he_uniform(rng: np.random.Generator | None, shape, fan_in: int) -> Tensor:
     """Kaiming-uniform init, drawn directly in float32 for determinism.
 
     Built in place: the default head weight is large enough that an extra
-    copy would double peak memory.
+    copy would double peak memory. With no generator nothing is drawn and
+    the values are left uninitialised, for a checkpoint to fill.
     """
-    bound = np.float32(np.sqrt(6.0 / fan_in))
-    n = int(np.prod(shape))
-    vals = rng.random(n, dtype=np.float32)
-    vals -= np.float32(0.5)
-    vals *= np.float32(2.0) * bound
-    t = Tensor._wrap(vals.reshape(shape))
+    if rng is None:
+        vals = np.empty(shape, dtype=np.float32)
+    else:
+        bound = np.float32(np.sqrt(6.0 / fan_in))
+        vals = rng.random(int(np.prod(shape)), dtype=np.float32)
+        vals -= np.float32(0.5)
+        vals *= np.float32(2.0) * bound
+        vals = vals.reshape(shape)
+    t = Tensor._wrap(vals)
     t.requires_grad = True
     return t
 

@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -75,7 +76,9 @@ class ModelConfig:
     dense_units: int = 512
     dropout_rate: float = 0.5
     attn_dropout: float = 0.1
-    seed: int = 0
+    # None only inside load_checkpoint: build_model then draws no weights,
+    # because the checkpoint fills every tensor
+    seed: int | None = 0
 
     def __post_init__(self):
         if self.input_size < 1:
@@ -85,6 +88,8 @@ class ModelConfig:
             raise ValueError("every width and kernel must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0 or not 0.0 <= self.attn_dropout < 1.0:
             raise ValueError("dropout rates must lie in [0, 1)")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_kv(self) -> dict[str, str]:
         def ints(vals):
@@ -239,8 +244,9 @@ class ModelGraph:
 
 
 def build_model(cfg: ModelConfig) -> ModelGraph:
-    """Instantiate the layer stack; deterministic for a given cfg.seed."""
-    rng = np.random.default_rng(cfg.seed)
+    """Instantiate the layer stack; deterministic for a given cfg.seed. With
+    ``seed=None`` the weights are allocated but not drawn."""
+    rng = None if cfg.seed is None else np.random.default_rng(cfg.seed)
     layers: list[tuple[str, Layer]] = []
     c, side = 1, cfg.input_size
 
@@ -357,33 +363,35 @@ def save_checkpoint(model: ModelGraph, path) -> None:
 
 
 def load_checkpoint(path, cfg: ModelConfig) -> ModelGraph:
-    """Rebuild the model for ``cfg`` and restore every tensor bitwise."""
-    raw = Path(path).read_bytes()
-    view = _Reader(raw, path)
-    if view.take(4) != CHECKPOINT_MAGIC:
-        raise BadMagic(f"{path}: expected magic {CHECKPOINT_MAGIC!r}")
-    version = view.u32()
-    if version != CHECKPOINT_VERSION:
-        raise VersionMismatch(f"{path}: version {version}, supported {CHECKPOINT_VERSION}")
-    count = view.u32()
+    """Rebuild the model for ``cfg`` without drawing weights, then read every
+    tensor from the file straight into its own buffer, bitwise."""
+    with open(path, "rb") as fh:
+        view = _Reader(fh, path)
+        if view.take(4) != CHECKPOINT_MAGIC:
+            raise BadMagic(f"{path}: expected magic {CHECKPOINT_MAGIC!r}")
+        version = view.u32()
+        if version != CHECKPOINT_VERSION:
+            raise VersionMismatch(f"{path}: version {version}, supported {CHECKPOINT_VERSION}")
+        count = view.u32()
 
-    model = build_model(cfg)
-    table = {name: t for name, t, _ in model.named_tensors()}
-    seen: set[str] = set()
-    for _ in range(count):
-        name = view.take(view.u16()).decode("utf-8")
-        rank = view.u8()
-        dims = tuple(view.u32() for _ in range(rank))
-        n = int(np.prod(dims)) if dims else 1
-        payload = view.take(4 * n)
-        if name not in table:
-            raise ShapeConflict(f"{path}: unexpected tensor {name!r}")
-        target = table[name]
-        if target.shape != dims:
-            raise ShapeConflict(
-                f"{path}: {name!r} has shape {dims}, model expects {target.shape}")
-        target.data[...] = np.frombuffer(payload, dtype="<f4").reshape(dims)
-        seen.add(name)
+        # the weights stay uninitialised until read, so any failure below
+        # must raise before the model is returned
+        model = build_model(replace(cfg, seed=None))
+        model.config = cfg
+        table = {name: t for name, t, _ in model.named_tensors()}
+        seen: set[str] = set()
+        for _ in range(count):
+            name = view.take(view.u16()).decode("utf-8")
+            rank = view.u8()
+            dims = tuple(view.u32() for _ in range(rank))
+            if name not in table:
+                raise ShapeConflict(f"{path}: unexpected tensor {name!r}")
+            target = table[name]
+            if target.shape != dims:
+                raise ShapeConflict(
+                    f"{path}: {name!r} has shape {dims}, model expects {target.shape}")
+            view.fill(target.data)
+            seen.add(name)
     missing = set(table) - seen
     if missing:
         raise ShapeConflict(f"{path}: tensors missing from checkpoint: {sorted(missing)[:4]}")
@@ -391,18 +399,32 @@ def load_checkpoint(path, cfg: ModelConfig) -> ModelGraph:
 
 
 class _Reader:
-    def __init__(self, raw: bytes, path):
-        self.raw = raw
+    """Reads checkpoint fields in order from an open file, counting bytes so
+    that a short read can say where the file ended."""
+
+    def __init__(self, fh, path):
+        self.fh = fh
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.raw):
-            raise TruncatedFile(f"{self.path}: ended at byte {len(self.raw)}, "
+    def _advance(self, got: int, n: int) -> None:
+        if got < n:
+            raise TruncatedFile(f"{self.path}: ended at byte {self.pos + got}, "
                                 f"needed {self.pos + n}")
-        chunk = self.raw[self.pos:self.pos + n]
         self.pos += n
+
+    def take(self, n: int) -> bytes:
+        chunk = self.fh.read(n)
+        self._advance(len(chunk), n)
         return chunk
+
+    def fill(self, array: np.ndarray) -> None:
+        """Read a little-endian float32 payload into ``array`` in place."""
+        # through a temporary byte view: numpy keeps a buffer description on
+        # each array it exports, which would otherwise stay with the model
+        self._advance(self.fh.readinto(array.view(np.uint8)), array.nbytes)
+        if sys.byteorder != "little":
+            array.byteswap(inplace=True)
 
     def u8(self) -> int:
         return self.take(1)[0]

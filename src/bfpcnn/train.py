@@ -41,6 +41,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -55,6 +55,17 @@ class TestGen:
         gen_synthetic(b, per_class=8, size=64, seed=7)
         assert tree_bytes(a) == tree_bytes(b)
 
+    def test_existing_out_refused_and_left_intact(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(["gen", "--out", str(out), "--per-class", "2",
+                     "--size", "8", "--seed", "1"]) == 0
+        before = tree_bytes(out)
+        assert main(["gen", "--out", str(out), "--per-class", "1",
+                     "--size", "8", "--seed", "2"]) == 1
+        assert "already exists" in capsys.readouterr().err
+        assert tree_bytes(out) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
     def test_seed_changes_content(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         gen_synthetic(a, per_class=2, size=16, seed=1)
@@ -413,6 +424,32 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert "must be >= 1, got 0" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+    @pytest.mark.parametrize("command, seed, line", [
+        ("gen", "-1", ""),
+        ("train", "-1", ""),
+        ("train", None, "model.seed = -1\n"),
+        ("train", None, "train.seed = -1\n"),
+    ], ids=["gen-flag", "train-flag", "model-seed-key", "train-seed-key"])
+    def test_negative_seed_rejected_before_any_work(self, tmp_path, capsys,
+                                                     command, seed, line):
+        out = tmp_path / "out"
+        if command == "gen":
+            args = ["gen", "--per-class", "1", "--size", "8"]
+        else:
+            # absent data would exit 2, so exit 1 shows no data was read
+            cfg = write_tiny_config(tmp_path / "tiny.cfg", line)
+            args = ["train", "--data", str(tmp_path / "absent"), "--config", str(cfg)]
+        if seed is not None:
+            args += ["--seed", seed]
+        try:
+            code = main(args + ["--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 1
+        assert "must be >= 0, got -1" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            [] if command == "gen" else ["tiny.cfg"])
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_existing_out_refused_before_reading_data(self, tmp_path, capsys, command):

@@ -1,6 +1,8 @@
 """Model assembly, forward contracts, parameter counting, checkpoints."""
 
+import hashlib
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -371,6 +373,38 @@ class TestCheckpoint:
         # writing each tensor from its own buffer needs no payload copy
         assert peak < 0.5 * tensor_bytes
 
+    def test_load_peak_allocation_bounded(self, tmp_path):
+        cfg = tiny_config(input_size=64, dense_units=64)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(cfg), path)
+        # the model's own size: its tensors plus the Python objects around
+        # them, which at this width add about 0.14x the tensor bytes
+        tracemalloc.start()
+        try:
+            model = build_model(cfg)
+            own = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del model
+        tracemalloc.start()
+        try:
+            load_checkpoint(path, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # each payload is read into its tensor's buffer: no copy of the file
+        # or of any tensor, which would add at least the 0.98x head weight
+        assert peak < 1.1 * own
+
+    def test_fresh_build_draws_pinned_bits(self):
+        # load_checkpoint builds without drawing; a fresh build must still
+        # draw exactly these bits, in this order, for seeded runs to repeat
+        digest = hashlib.sha256()
+        for _, t, _ in build_model(tiny_config(seed=5)).named_tensors():
+            digest.update(t.data.tobytes())
+        assert digest.hexdigest() == (
+            "ea41a647237a42e0a7d1fd9a8ed86a4cf23be81a57050f7b334e103216e0c6a1")
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(build_model(tiny_config()), path)
@@ -395,6 +429,26 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(TruncatedFile):
+            load_checkpoint(path, tiny_config())
+
+    # the first entry, "stem.weight" [2, 1, 7, 7], starts at byte 12: name
+    # length at 12, name at 14, rank at 25, dims at 26, payload at 42
+    @pytest.mark.parametrize("cut", [6, 19, 32, 142, -1],
+                             ids=["header", "name", "dims", "payload", "last-byte"])
+    def test_truncated_anywhere(self, tmp_path, cut):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(tiny_config()), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:cut])
+        with pytest.raises(TruncatedFile, match=f"ended at byte {len(raw[:cut])}, needed"):
+            load_checkpoint(path, tiny_config())
+
+    def test_missing_tensor_named(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        model = build_model(tiny_config())
+        entries = [e for e in model.named_tensors() if e[0] != "sep1.bias"]
+        save_checkpoint(SimpleNamespace(named_tensors=lambda: entries), path)
+        with pytest.raises(ShapeConflict, match="missing from checkpoint.*sep1.bias"):
             load_checkpoint(path, tiny_config())
 
     def test_config_shape_conflict(self, tmp_path):
