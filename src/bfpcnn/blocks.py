@@ -76,7 +76,7 @@ def inception_block(x: Tensor, params: InceptionParams) -> Tensor:
     p3 = relu(conv2d(relu(conv2d(x, params.p3a)), params.p3b))
     pooled = maxpool2d(x, 2, 1, padding="same")
     p4 = relu(conv2d(pooled, params.p4))
-    return concat_depth(concat_depth(concat_depth(p1, p2), p3), p4)
+    return concat_depth(p1, p2, p3, p4)
 
 
 @dataclass

@@ -203,7 +203,7 @@ def main(argv=None) -> int:
 def cmd_gen(args) -> int:
     with _StagingDir(args.out) as staging:
         manifest = gen_synthetic(staging, args.per_class, args.size, args.seed)
-    for name, count in zip(manifest.class_names, manifest.counts):
+    for name, count in zip(CLASS_NAMES, manifest.counts):
         print(f"{name}: {count}")
     print(f"wrote {sum(manifest.counts)} images under {args.out}")
     return 0
@@ -213,7 +213,7 @@ def cmd_preprocess(args) -> int:
     manifest = ingest(args.in_root)
     written = 0
     with _StagingDir(args.out) as out_root:
-        for name in manifest.class_names:
+        for name in CLASS_NAMES:
             (out_root / name).mkdir()
             if args.stages:
                 for stage in ("equalized", "filtered", "resized"):
@@ -232,8 +232,8 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _write_confusion_csvs(cm, class_names, raw_path: Path, norm_path: Path) -> None:
-    header = ",".join(class_names)
+def _write_confusion_csvs(cm, raw_path: Path, norm_path: Path) -> None:
+    header = ",".join(CLASS_NAMES)
     raw_lines = [header] + [",".join(str(v) for v in row) for row in cm.counts]
     raw_path.write_text("\n".join(raw_lines) + "\n")
     norm = cm.normalized()
@@ -241,9 +241,9 @@ def _write_confusion_csvs(cm, class_names, raw_path: Path, norm_path: Path) -> N
     norm_path.write_text("\n".join(norm_lines) + "\n")
 
 
-def _metrics_text(metrics, class_names) -> str:
+def _metrics_text(metrics) -> str:
     lines = [f"accuracy {metrics.accuracy:.6f}"]
-    for i, name in enumerate(class_names):
+    for i, name in enumerate(CLASS_NAMES):
         lines.append(f"{name} precision {metrics.precision[i]:.6f} "
                      f"recall {metrics.recall[i]:.6f} f1 {metrics.f1[i]:.6f}")
     lines.append(f"macro precision {metrics.macro_precision:.6f} "
@@ -292,11 +292,9 @@ def cmd_train(args) -> int:
         _write_kv(staging / "config.txt", spec.to_kv())
         save_checkpoint(model, staging / "model.ckpt")
         (staging / "history.csv").write_text(history_csv(report.history))
-        _write_confusion_csvs(report.confusion, dataset.class_names,
-                              staging / "confusion.csv",
+        _write_confusion_csvs(report.confusion, staging / "confusion.csv",
                               staging / "confusion_normalized.csv")
-        (staging / "metrics.txt").write_text(
-            _metrics_text(report, dataset.class_names))
+        (staging / "metrics.txt").write_text(_metrics_text(report))
         (staging / "train_files.txt").write_text(
             "".join(f"{files[i]}\n" for i in report.train_idx))
         (staging / "val_files.txt").write_text(
@@ -321,13 +319,11 @@ def cmd_eval(args) -> int:
                            window=spec.window, full_pipeline=spec.preprocess_full)
     preds, loss = evaluate(model, dataset.images, dataset.labels,
                            spec.train.batch_size)
-    cm = confusion_matrix(preds, dataset.labels, len(dataset.class_names))
+    cm = confusion_matrix(preds, dataset.labels, len(CLASS_NAMES))
     metrics = compute_metrics(cm)
     with staging_dir as staging:
-        (staging / "metrics.txt").write_text(
-            f"loss {loss:.6f}\n" + _metrics_text(metrics, dataset.class_names))
-        _write_confusion_csvs(cm, dataset.class_names,
-                              staging / "confusion.csv",
+        (staging / "metrics.txt").write_text(f"loss {loss:.6f}\n" + _metrics_text(metrics))
+        _write_confusion_csvs(cm, staging / "confusion.csv",
                               staging / "confusion_normalized.csv")
     print(f"eval complete: {args.out} (accuracy {metrics.accuracy:.4f})")
     return 0
@@ -335,10 +331,9 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model, spec = _load_run(args.ckpt)
-    processed = prepare(read_pgm(args.image), spec.model.input_size, spec.window,
-                        spec.preprocess_full)
-    batch = Tensor.from_array(processed.values[None, None])
-    print_prediction(forward(model, batch, "infer").data.reshape(-1))
+    batch = prepare(read_pgm(args.image), spec.model.input_size, spec.window,
+                    spec.preprocess_full)[None, None]
+    print_prediction(forward(model, Tensor(batch.shape, batch), "infer").data.reshape(-1))
     return 0
 
 

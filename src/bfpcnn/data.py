@@ -21,16 +21,15 @@ from .train import Dataset
 @dataclass
 class DatasetManifest:
     root: Path
-    class_names: tuple[str, ...]
-    files: dict[str, list[Path]]
+    files: dict[str, list[Path]]  # per name in CLASS_NAMES
 
     @property
     def counts(self) -> list[int]:
-        return [len(self.files[name]) for name in self.class_names]
+        return [len(self.files[name]) for name in CLASS_NAMES]
 
     def labelled_files(self) -> list[tuple[Path, int]]:
         out = []
-        for label, name in enumerate(self.class_names):
+        for label, name in enumerate(CLASS_NAMES):
             out.extend((path, label) for path in self.files[name])
         return out
 
@@ -48,7 +47,7 @@ def ingest(root) -> DatasetManifest:
         for path in listed:
             read_pgm(path)  # raises UnreadableImage naming the file
         files[name] = listed
-    return DatasetManifest(root, CLASS_NAMES, files)
+    return DatasetManifest(root, files)
 
 
 def gen_synthetic(out, per_class: int, size: int, seed: int) -> DatasetManifest:
@@ -82,7 +81,7 @@ def gen_synthetic(out, per_class: int, size: int, seed: int) -> DatasetManifest:
                 lift = rng.uniform(60.0, 80.0)
                 img += lift * ((yy - cy) ** 2 + (xx - cx) ** 2 <= radius ** 2)
             pixels = np.clip(img, 0, 255).astype(np.uint8)
-            write_pgm(GrayImage(size, size, pixels), class_dir / f"{name}_{i:04d}.pgm")
+            write_pgm(GrayImage(pixels), class_dir / f"{name}_{i:04d}.pgm")
     return ingest(out)
 
 
@@ -97,10 +96,8 @@ def load_dataset(manifest: DatasetManifest, target: int, window: int = 3,
     """
     images, labels = [], []
     for path, label in manifest.labelled_files():
-        processed = prepare(read_pgm(path), target, window, full_pipeline)
-        images.append(processed.values[None, :, :])
+        images.append(prepare(read_pgm(path), target, window, full_pipeline)[None])
         labels.append(label)
     if not images:
-        return Dataset(np.zeros((0, 1, target, target), np.float32),
-                       np.zeros(0, np.int64), manifest.class_names)
-    return Dataset(np.stack(images), np.asarray(labels), manifest.class_names)
+        return Dataset(np.zeros((0, 1, target, target), np.float32), np.zeros(0, np.int64))
+    return Dataset(np.stack(images), np.asarray(labels))

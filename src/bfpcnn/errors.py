@@ -48,7 +48,7 @@ class KernelTooLarge(Error):
     """Kernel or pooling window exceeds the input extent under valid padding."""
 
 
-class BatchTooSmall(Error):
+class BatchTooSmall(DataError):
     """Batch normalization in train mode needs at least two values per channel."""
 
 

@@ -246,40 +246,36 @@ def batchnorm(x: Tensor, p: BatchNormParams, mode: Mode) -> Tensor:
         raise ChannelMismatch(f"batchnorm: {c} channels vs parameters {p.gamma.shape}")
     gamma, beta = p.gamma, p.beta
     g4 = gamma.data.reshape(1, c, 1, 1)
+    m = n * h * w
     if mode == "train":
-        m = n * h * w
         if m < 2:
             raise BatchTooSmall("train-mode batchnorm needs >= 2 values per channel")
         mu = x.data.mean(axis=(0, 2, 3))
         var = x.data.var(axis=(0, 2, 3))  # biased
-        inv = 1.0 / np.sqrt(var + np.float32(BN_EPS))
-        centered = x.data - mu.reshape(1, c, 1, 1)
-        xhat = centered * inv.reshape(1, c, 1, 1)
-        out = g4 * xhat + beta.data.reshape(1, c, 1, 1)
         mom = np.float32(BN_MOMENTUM)
         p.running_mean.data[:] = (1 - mom) * p.running_mean.data + mom * mu
         p.running_var.data[:] = (1 - mom) * p.running_var.data + mom * var
-
-        def backward(g: np.ndarray):
-            dxhat = g * g4
-            inv4 = inv.reshape(1, c, 1, 1)
-            dvar = (dxhat * centered).sum(axis=(0, 2, 3)) * (-0.5) * inv ** 3
-            dmu = -(dxhat.sum(axis=(0, 2, 3)) * inv) \
-                - dvar * 2.0 / m * centered.sum(axis=(0, 2, 3))
-            dx = (dxhat * inv4
-                  + dvar.reshape(1, c, 1, 1) * 2.0 / m * centered
-                  + dmu.reshape(1, c, 1, 1) / m)
-            return dx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
-
-        return apply_op("batchnorm", (x, gamma, beta), out, backward)
-
-    inv = 1.0 / np.sqrt(p.running_var.data + np.float32(BN_EPS))
-    xhat = (x.data - p.running_mean.data.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
+    else:
+        mu, var = p.running_mean.data, p.running_var.data
+    inv = 1.0 / np.sqrt(var + np.float32(BN_EPS))
+    inv4 = inv.reshape(1, c, 1, 1)
+    centered = x.data - mu.reshape(1, c, 1, 1)
+    xhat = centered * inv4
     out = g4 * xhat + beta.data.reshape(1, c, 1, 1)
+    # dx has batch-statistics terms in train mode only; the infer closure
+    # must not keep the centered copy alive
+    batch_centered = centered if mode == "train" else None
 
     def backward(g: np.ndarray):
-        return (g * g4 * inv.reshape(1, c, 1, 1), (g * xhat).sum(axis=(0, 2, 3)),
-                g.sum(axis=(0, 2, 3)))
+        dxhat = g * g4
+        dx = dxhat * inv4
+        if batch_centered is not None:
+            dvar = (dxhat * batch_centered).sum(axis=(0, 2, 3)) * (-0.5) * inv ** 3
+            dmu = -(dxhat.sum(axis=(0, 2, 3)) * inv) \
+                - dvar * 2.0 / m * batch_centered.sum(axis=(0, 2, 3))
+            dx = (dx + dvar.reshape(1, c, 1, 1) * 2.0 / m * batch_centered
+                  + dmu.reshape(1, c, 1, 1) / m)
+        return dx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
 
     return apply_op("batchnorm", (x, gamma, beta), out, backward)
 
@@ -291,15 +287,15 @@ def relu(x: Tensor) -> Tensor:
                     lambda g: (g * mask,))
 
 
-def concat_depth(x: Tensor, y: Tensor) -> Tensor:
-    """Stack two feature maps along the channel axis."""
-    if x.data.ndim != 4 or y.data.ndim != 4:
+def concat_depth(*xs: Tensor) -> Tensor:
+    """Stack feature maps along the channel axis, in argument order."""
+    if any(x.data.ndim != 4 for x in xs):
         raise SpatialMismatch("concat_depth expects rank-4 tensors")
-    if x.shape[0] != y.shape[0] or x.shape[2:] != y.shape[2:]:
-        raise SpatialMismatch(f"concat_depth: {x.shape} vs {y.shape}")
-    cx = x.shape[1]
-    return apply_op("concat_depth", (x, y), np.concatenate([x.data, y.data], axis=1),
-                    lambda g: (g[:, :cx], g[:, cx:]))
+    if len({(x.shape[0], *x.shape[2:]) for x in xs}) > 1:
+        raise SpatialMismatch(f"concat_depth: {' vs '.join(str(x.shape) for x in xs)}")
+    bounds = np.cumsum([x.shape[1] for x in xs[:-1]])
+    return apply_op("concat_depth", xs, np.concatenate([x.data for x in xs], axis=1),
+                    lambda g: np.split(g, bounds, axis=1))
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

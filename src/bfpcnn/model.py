@@ -7,7 +7,7 @@ from __future__ import annotations
 import os
 import struct
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -102,8 +102,8 @@ class ModelConfig:
             "model.stem_filters": str(self.stem_filters),
             "model.stem_kernel": str(self.stem_kernel),
             "model.refine_filters": ints(self.refine_filters),
-            "model.inception1": ints(_inception_tuple(self.inception1)),
-            "model.inception2": ints(_inception_tuple(self.inception2)),
+            "model.inception1": ints(astuple(self.inception1)),
+            "model.inception2": ints(astuple(self.inception2)),
             "model.sep_blocks": ints(self.sep_block_filters),
             "model.spatial_filters": "auto" if sa.filters is None else str(sa.filters),
             "model.spatial_kernel": str(sa.kernel),
@@ -149,10 +149,6 @@ class ModelConfig:
             raise ConfigError(f"bad model configuration value: {exc}") from exc
 
 
-def _inception_tuple(cfg: InceptionConfig):
-    return (cfg.f11, cfg.f21, cfg.f22, cfg.f31, cfg.f32, cfg.f41)
-
-
 def _inception_from(raw: str | None, default: InceptionConfig) -> InceptionConfig:
     if raw is None:
         return default
@@ -171,21 +167,21 @@ def _parse_ints(raw: str) -> list[int]:
 @dataclass
 class Layer:
     """One step of the stack: ``forward(x, mode, rng)`` and the
-    ``(suffix, tensor, trainable)`` entries it owns, in checkpoint order.
-    ``forward`` is a plain attribute so tools can wrap it in place."""
+    ``(suffix, tensor)`` entries it owns, in checkpoint order. ``forward`` is
+    a plain attribute so tools can wrap it in place."""
 
     forward: Callable[[Tensor, Mode, np.random.Generator | None], Tensor]
-    tensors: list[tuple[str, Tensor, bool]] = field(default_factory=list)
+    tensors: list[tuple[str, Tensor]] = field(default_factory=list)
 
 
-def _conv_tensors(conv: Conv2DParams, prefix: str = "") -> list[tuple[str, Tensor, bool]]:
-    return [(f"{prefix}weight", conv.weights, True), (f"{prefix}bias", conv.bias, True)]
+def _conv_tensors(conv: Conv2DParams, prefix: str = "") -> list[tuple[str, Tensor]]:
+    return [(f"{prefix}weight", conv.weights), (f"{prefix}bias", conv.bias)]
 
 
-def _bn_tensors(bn: BatchNormParams, prefix: str = "") -> list[tuple[str, Tensor, bool]]:
-    return [(f"{prefix}gamma", bn.gamma, True), (f"{prefix}beta", bn.beta, True),
-            (f"{prefix}running_mean", bn.running_mean, False),
-            (f"{prefix}running_var", bn.running_var, False)]
+def _bn_tensors(bn: BatchNormParams, prefix: str = "") -> list[tuple[str, Tensor]]:
+    return [(f"{prefix}gamma", bn.gamma), (f"{prefix}beta", bn.beta),
+            (f"{prefix}running_mean", bn.running_mean),
+            (f"{prefix}running_var", bn.running_var)]
 
 
 def _conv_relu(conv: Conv2DParams) -> Layer:
@@ -208,8 +204,8 @@ def _sep_conv(depthwise: Tensor, pointwise: Tensor, bias: Tensor, bn: BatchNormP
         s = x if shortcut is None else conv2d(x, shortcut)
         return relu(y + s)
 
-    tensors = [("depthwise", depthwise, True), ("pointwise", pointwise, True),
-               ("bias", bias, True)] + _bn_tensors(bn, "bn.")
+    tensors = [("depthwise", depthwise), ("pointwise", pointwise),
+               ("bias", bias)] + _bn_tensors(bn, "bn.")
     if shortcut is not None:
         tensors += _conv_tensors(shortcut, "shortcut.")
     return Layer(fwd, tensors)
@@ -220,7 +216,7 @@ def _dense(w: Tensor, b: Tensor, apply_relu: bool) -> Layer:
         out = dense(x, w, b)
         return relu(out) if apply_relu else out
 
-    return Layer(fwd, [("weight", w, True), ("bias", b, True)])
+    return Layer(fwd, [("weight", w), ("bias", b)])
 
 
 @dataclass
@@ -231,9 +227,10 @@ class ModelGraph:
     layers: list[tuple[str, Layer]]
 
     def named_tensors(self):
+        """``(name, tensor, trainable)`` in checkpoint order."""
         for layer_name, layer in self.layers:
-            for suffix, t, trainable in layer.tensors:
-                yield f"{layer_name}.{suffix}", t, trainable
+            for suffix, t in layer.tensors:
+                yield f"{layer_name}.{suffix}", t, t.requires_grad
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t, trainable in self.named_tensors() if trainable]
@@ -274,8 +271,7 @@ def build_model(cfg: ModelConfig) -> ModelGraph:
     attn = SelfAttentionParams.create(rng, c, cfg.attn_dropout)
     layers.append(("attention",
                    Layer(lambda x, mode, rng: x + self_attention(x, attn, mode, rng=rng),
-                         [(name, getattr(attn, name), True)
-                          for name in ("wq", "wk", "wv", "wo")])))
+                         [(name, getattr(attn, name)) for name in ("wq", "wk", "wv", "wo")])))
 
     for i, f in enumerate(cfg.sep_block_filters, start=1):
         depthwise = he_uniform(rng, (c, 1, 3, 3), 9)
@@ -386,12 +382,16 @@ def load_checkpoint(path, cfg: ModelConfig) -> ModelGraph:
             dims = tuple(view.u32() for _ in range(rank))
             if name not in table:
                 raise ShapeConflict(f"{path}: unexpected tensor {name!r}")
+            if name in seen:
+                raise ShapeConflict(f"{path}: tensor {name!r} appears twice")
             target = table[name]
             if target.shape != dims:
                 raise ShapeConflict(
                     f"{path}: {name!r} has shape {dims}, model expects {target.shape}")
             view.fill(target.data)
             seen.add(name)
+        if fh.read(1):
+            raise ShapeConflict(f"{path}: unexpected data after byte {view.pos}")
     missing = set(table) - seen
     if missing:
         raise ShapeConflict(f"{path}: tensors missing from checkpoint: {sorted(missing)[:4]}")

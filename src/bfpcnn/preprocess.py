@@ -19,31 +19,21 @@ DEFAULT_TARGET = 224
 class GrayImage:
     """2-D grid of 8-bit intensities, stored row-major."""
 
-    height: int
-    width: int
     pixels: np.ndarray  # uint8, shape (height, width)
 
     def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.uint8).reshape(self.height, self.width)
-        if self.height < 1 or self.width < 1:
-            raise ValueError("image dimensions must be positive")
+        self.pixels = np.asarray(self.pixels, dtype=np.uint8)
+        if self.pixels.ndim != 2 or 0 in self.pixels.shape:
+            raise ValueError(f"image pixels must be a non-empty 2-D grid, "
+                             f"got shape {self.pixels.shape}")
 
-    @classmethod
-    def from_array(cls, array) -> "GrayImage":
-        arr = np.asarray(array, dtype=np.uint8)
-        return cls(arr.shape[0], arr.shape[1], arr)
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
 
-
-@dataclass
-class NormalizedImage:
-    """2-D grid of floats in [0, 1]."""
-
-    height: int
-    width: int
-    values: np.ndarray  # float32, shape (height, width)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float32).reshape(self.height, self.width)
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
 
 
 def histogram_equalize(img: GrayImage) -> GrayImage:
@@ -59,10 +49,10 @@ def histogram_equalize(img: GrayImage) -> GrayImage:
     cdf_min = cdf[present[0]]
     cdf_max = cdf[present[-1]]
     if cdf_max == cdf_min:
-        return GrayImage(img.height, img.width, img.pixels.copy())
+        return GrayImage(img.pixels.copy())
     scaled = (cdf - cdf_min) / (cdf_max - cdf_min) * (INTENSITY_LEVELS - 1)
     lut = np.floor(scaled + 0.5).clip(0, 255).astype(np.uint8)  # round half up
-    return GrayImage(img.height, img.width, lut[img.pixels])
+    return GrayImage(lut[img.pixels])
 
 
 def median_filter(img: GrayImage, window: int = DEFAULT_WINDOW) -> GrayImage:
@@ -71,13 +61,13 @@ def median_filter(img: GrayImage, window: int = DEFAULT_WINDOW) -> GrayImage:
     if window < 1 or window % 2 == 0:
         raise EvenWindow(f"window must be odd and positive, got {window}")
     if window == 1:
-        return GrayImage(img.height, img.width, img.pixels.copy())
+        return GrayImage(img.pixels.copy())
     r = window // 2
     padded = np.pad(img.pixels, r, mode="edge")
     windows = np.lib.stride_tricks.sliding_window_view(padded, (window, window))
     # odd count of values: the median is an element of the neighborhood
     med = np.median(windows.reshape(img.height, img.width, -1), axis=-1)
-    return GrayImage(img.height, img.width, med.astype(np.uint8))
+    return GrayImage(med.astype(np.uint8))
 
 
 def resize(img: GrayImage, target: int) -> GrayImage:
@@ -90,18 +80,17 @@ def resize(img: GrayImage, target: int) -> GrayImage:
         raise ValueError("target must be positive")
     rows = (np.arange(target) * img.height) // target
     cols = (np.arange(target) * img.width) // target
-    return GrayImage(target, target, img.pixels[np.ix_(rows, cols)])
+    return GrayImage(img.pixels[np.ix_(rows, cols)])
 
 
-def normalize(img: GrayImage) -> NormalizedImage:
-    """Scale intensities to [0, 1] by dividing by 255."""
-    return NormalizedImage(img.height, img.width,
-                           img.pixels.astype(np.float32) / np.float32(255.0))
+def normalize(img: GrayImage) -> np.ndarray:
+    """Scale intensities to [0, 1] by dividing by 255: float32 [H, W]."""
+    return img.pixels.astype(np.float32) / np.float32(255.0)
 
 
-def prepare(img: GrayImage, target: int, window: int, full: bool) -> NormalizedImage:
-    """The model input for one image: equalize and median-filter when
-    ``full``, then resize and normalize."""
+def prepare(img: GrayImage, target: int, window: int, full: bool) -> np.ndarray:
+    """The model input for one image, float32 [target, target]: equalize and
+    median-filter when ``full``, then resize and normalize."""
     if full:
         img = median_filter(histogram_equalize(img), window)
     return normalize(resize(img, target))
@@ -132,7 +121,7 @@ def read_pgm(path) -> GrayImage:
     except (ValueError, IndexError) as exc:
         raise UnreadableImage(f"{path}: not a valid 8-bit binary PGM ({exc})") from exc
     pixels = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
-    return GrayImage(height, width, pixels.copy())
+    return GrayImage(pixels.copy())
 
 
 def write_pgm(img: GrayImage, path) -> None:

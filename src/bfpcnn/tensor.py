@@ -65,13 +65,6 @@ class Tensor:
         self.node: TapeNode | None = None
 
     @classmethod
-    def from_array(cls, array) -> "Tensor":
-        """A tensor of ``array``'s shape holding one float32 copy of it."""
-        data = np.array(array, dtype=np.float32, order="C")
-        _positive_dims(data.shape)
-        return cls._wrap(data)
-
-    @classmethod
     def _wrap(cls, data: np.ndarray) -> "Tensor":
         # fast path for op outputs: no validation, no copy
         t = object.__new__(cls)
@@ -93,9 +86,6 @@ class Tensor:
         if self.data.size != 1:
             raise NotScalar(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={list(self.shape)}, requires_grad={self.requires_grad})"

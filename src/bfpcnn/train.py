@@ -13,7 +13,7 @@ from .errors import (
     LabelOutOfRange,
     LengthMismatch,
 )
-from .model import ModelGraph, forward
+from .model import CLASS_NAMES, ModelGraph, forward
 from .tensor import Tensor, apply_op
 
 LOSS_CLAMP = 1e-12
@@ -50,8 +50,7 @@ class Dataset:
     """In-memory samples ready for the model: [N, 1, S, S] in [0, 1]."""
 
     images: np.ndarray
-    labels: np.ndarray
-    class_names: tuple[str, ...]
+    labels: np.ndarray  # indices into CLASS_NAMES
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=np.float32)
@@ -136,10 +135,6 @@ class ConfusionMatrix:
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
     def normalized(self) -> np.ndarray:
         """Rows divided by their sums; empty rows stay zero."""
@@ -244,7 +239,8 @@ def evaluate(model: ModelGraph, images: np.ndarray, labels: np.ndarray,
     loss_sum = 0.0
     for start in range(0, len(labels), batch_size):
         stop = min(start + batch_size, len(labels))
-        probs = forward(model, Tensor.from_array(images[start:stop]), "infer")
+        batch = images[start:stop]
+        probs = forward(model, Tensor(batch.shape, batch), "infer")
         preds[start:stop] = probs.data.argmax(axis=1)
         loss_sum += cross_entropy_loss(probs, labels[start:stop]).item() * (stop - start)
     return preds, loss_sum / max(len(labels), 1)
@@ -253,7 +249,7 @@ def evaluate(model: ModelGraph, images: np.ndarray, labels: np.ndarray,
 def _phase_stats(model: ModelGraph, data: Dataset, idx: np.ndarray, epoch: int,
                  phase: str, batch_size: int) -> tuple[EpochStats, ConfusionMatrix]:
     preds, loss = evaluate(model, data.images[idx], data.labels[idx], batch_size)
-    cm = confusion_matrix(preds, data.labels[idx], len(data.class_names))
+    cm = confusion_matrix(preds, data.labels[idx], len(CLASS_NAMES))
     m = compute_metrics(cm)
     return EpochStats(epoch, phase, loss, m.accuracy, m.macro_precision,
                       m.macro_recall, m.macro_f1), cm
@@ -278,8 +274,8 @@ def train(model: ModelGraph, data: Dataset, cfg: TrainConfig) -> MetricsReport:
         order = shuffle_rng.permutation(train_idx)
         for start in range(0, len(order), cfg.batch_size):
             chosen = order[start:start + cfg.batch_size]
-            probs = forward(model, Tensor.from_array(data.images[chosen]), "train",
-                            rng=dropout_rng)
+            batch = data.images[chosen]
+            probs = forward(model, Tensor(batch.shape, batch), "train", rng=dropout_rng)
             loss = cross_entropy_loss(probs, data.labels[chosen])
             model.zero_grads()
             loss.backward()

@@ -73,6 +73,22 @@ class TestInceptionBlock:
         assert np.array_equal(out[:, 4:7], p3)
         assert np.array_equal(out[:, 7:9], p4)
 
+    def test_one_concat_node(self):
+        # the four paths join in one concatenation, not a chain of pairs
+        rng = np.random.default_rng(5)
+        params = InceptionParams.create(rng, 2, InceptionConfig(1, 1, 1, 1, 1, 1))
+        out = inception_block(Tensor([1, 2, 4, 4], smooth_values(rng, (1, 2, 4, 4))), params)
+        stack, seen, kinds = [out], set(), []
+        while stack:
+            t = stack.pop()
+            if id(t) in seen or t.node is None:
+                continue
+            seen.add(id(t))
+            kinds.append(t.node.op_kind)
+            stack.extend(t.node.inputs)
+        assert kinds.count("concat_depth") == 1
+        assert out.node.op_kind == "concat_depth" and len(out.node.inputs) == 4
+
     def test_gradients(self):
         rng = np.random.default_rng(4)
         cfg = InceptionConfig(1, 1, 1, 1, 1, 1)

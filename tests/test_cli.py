@@ -111,7 +111,7 @@ class TestPreprocessCommand:
         in_root = tmp_path / "in"
         for name in CLASS_NAMES:
             (in_root / name).mkdir(parents=True)
-            write_pgm(GrayImage.from_array(np.full((10, 10), 70, np.uint8)),
+            write_pgm(GrayImage(np.full((10, 10), 70, np.uint8)),
                       in_root / name / "c.pgm")
         assert main(["preprocess", "--in", str(in_root),
                      "--out", str(tmp_path / "out"), "--target", "10"]) == 0
@@ -137,7 +137,7 @@ class TestPreprocessCommand:
             (in_root / name).mkdir(parents=True)
             levels = np.sort(rng.choice(256, size=8, replace=False)).astype(np.uint8)
             img = np.repeat(levels, 2)[:, None].repeat(16, axis=1)
-            write_pgm(GrayImage.from_array(img), in_root / name / "s.pgm")
+            write_pgm(GrayImage(img), in_root / name / "s.pgm")
         main(["preprocess", "--in", str(in_root),
               "--out", str(tmp_path / "o1"), "--target", "16"])
         main(["preprocess", "--in", str(tmp_path / "o1"),
@@ -339,7 +339,8 @@ class TestPredictCommand:
         spread = rng.standard_normal((2000, k)) * np.logspace(-3, 2, 2000)[:, None]
         saturated = rng.standard_normal((200, k))
         saturated[np.arange(200), rng.integers(0, k, 200)] += rng.uniform(15, 90, 200)
-        rows = softmax(Tensor.from_array(np.concatenate([spread, saturated]))).data
+        logits = np.concatenate([spread, saturated])
+        rows = softmax(Tensor(logits.shape, logits)).data
         for row in rows:
             print_prediction(row)
             lines = capsys.readouterr().out.strip().split("\n")
@@ -460,6 +461,17 @@ class TestExitCodes:
             args = ["--ckpt", str(tmp_path / "no.ckpt")] + args
         assert main([command] + args) == 1
         assert "already exists" in capsys.readouterr().err
+
+    def test_one_sample_final_batch_is_data_error(self, tmp_path, capsys):
+        # 12 training samples in batches of 11 leave a last batch of one
+        # sample at 1x1 after the stem pool: train-mode batchnorm cannot run
+        gen_synthetic(tmp_path / "data", per_class=4, size=8, seed=1)
+        cfg = write_tiny_config(tmp_path / "tiny.cfg", "model.input_size = 5\n")
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(tmp_path / "data"), "--config", str(cfg),
+                     "--epochs", "1", "--batch", "11", "--out", str(out)]) == 2
+        assert "error: train-mode batchnorm needs >= 2 values" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "tiny.cfg"]
 
     def test_success(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "d"), "--per-class", "1",

@@ -336,26 +336,34 @@ class TestBatchNorm:
         out = batchnorm(x, p, "infer")
         assert np.allclose(out.data.reshape(-1), [0.0, 1.0], atol=1e-3)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_gradients_train_mode(self, seed):
+    # train and infer share one backward closure that differs only in dx
+    @pytest.mark.parametrize("seed, mode", [
+        *(pytest.param(s, "train", id=str(s)) for s in range(6)),
+        *(pytest.param(s, "infer", id=f"infer-{s}") for s in range(3)),
+    ])
+    def test_gradients_train_mode(self, seed, mode):
         rng = np.random.default_rng(1300 + seed)
         xv = smooth_values(rng, (2, 2, 3, 3), scale=1.5)
         gv = smooth_values(rng, (2,))
         bv = smooth_values(rng, (2,))
         cv = smooth_values(rng, (2, 2, 3, 3))
+        # running statistics, read in infer mode only
+        mean, var = smooth_values(rng, (2,)), rng.uniform(0.5, 2.0, 2).astype(np.float32)
 
         def weigh(out):
             return (out * Tensor(list(cv.shape), cv.copy())).sum()
 
+        def params(gamma):
+            return BatchNormParams(gamma, Tensor([2], bv.copy()),
+                                   Tensor([2], mean.copy()), Tensor([2], var.copy()))
+
         def via_x(t):
-            p = BatchNormParams(Tensor([2], gv.copy()), Tensor([2], bv.copy()))
-            return weigh(batchnorm(t, p, "train"))
+            return weigh(batchnorm(t, params(Tensor([2], gv.copy())), mode))
 
         check_grad(via_x, Tensor(list(xv.shape), xv.copy()), tol=1e-3)
 
         def via_gamma(t):
-            p = BatchNormParams(t, Tensor([2], bv.copy()))
-            return weigh(batchnorm(Tensor(list(xv.shape), xv.copy()), p, "train"))
+            return weigh(batchnorm(Tensor(list(xv.shape), xv.copy()), params(t), mode))
 
         check_grad(via_gamma, Tensor([2], gv.copy()), tol=1e-3)
 
@@ -409,6 +417,20 @@ class TestConcatDepth:
         y = Tensor([1, 2, 2, 2], 1.0, requires_grad=True)
         (concat_depth(x, y) * 2.0).sum().backward()
         assert np.all(x.grad == 2.0) and np.all(y.grad == 2.0)
+
+    def test_three_inputs_layout_and_gradient_slices(self):
+        rng = np.random.default_rng(33)
+        xs = [Tensor([2, ch, 2, 3], smooth_values(rng, (2, ch, 2, 3)), requires_grad=True)
+              for ch in (1, 3, 2)]
+        out = concat_depth(*xs)
+        assert np.array_equal(out.data, np.concatenate([x.data for x in xs], axis=1))
+        weights = smooth_values(rng, out.shape)
+        (out * Tensor(list(out.shape), weights)).sum().backward()
+        assert np.array_equal(xs[0].grad, weights[:, :1])
+        assert np.array_equal(xs[1].grad, weights[:, 1:4])
+        assert np.array_equal(xs[2].grad, weights[:, 4:])
+        with pytest.raises(SpatialMismatch):
+            concat_depth(*xs, Tensor([1, 1, 2, 3], 1.0))
 
 
 class TestDense:

@@ -1,6 +1,7 @@
 """Model assembly, forward contracts, parameter counting, checkpoints."""
 
 import hashlib
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -223,7 +224,7 @@ class TestForwardProperties:
         layer = dict(model.layers)["attention"]
         # 4 channels: the output depth of tiny_config's inception1
         params = SelfAttentionParams.create(np.random.default_rng(0), 4, 0.2)
-        params.wq, params.wk, params.wv, params.wo = (t for _, t, _ in layer.tensors)
+        params.wq, params.wk, params.wv, params.wo = (t for _, t in layer.tensors)
         xv = np.random.default_rng(8).random((2, 4, 3, 3), dtype=np.float32)
         out = layer.forward(Tensor([2, 4, 3, 3], xv.copy()), mode, np.random.default_rng(9))
         x = Tensor([2, 4, 3, 3], xv.copy())
@@ -449,6 +450,24 @@ class TestCheckpoint:
         entries = [e for e in model.named_tensors() if e[0] != "sep1.bias"]
         save_checkpoint(SimpleNamespace(named_tensors=lambda: entries), path)
         with pytest.raises(ShapeConflict, match="missing from checkpoint.*sep1.bias"):
+            load_checkpoint(path, tiny_config())
+
+    def test_trailing_data_refused(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(tiny_config()), path)
+        size = path.stat().st_size
+        with open(path, "ab") as fh:
+            fh.write(b"garbage" * 10)
+        with pytest.raises(ShapeConflict,
+                           match=f"{re.escape(str(path))}: unexpected data after byte {size}"):
+            load_checkpoint(path, tiny_config())
+
+    def test_repeated_name_refused(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        entries = list(build_model(tiny_config()).named_tensors())
+        save_checkpoint(SimpleNamespace(named_tensors=lambda: entries + entries[:1]), path)
+        with pytest.raises(ShapeConflict,
+                           match=f"{re.escape(str(path))}: tensor 'stem.weight' appears twice"):
             load_checkpoint(path, tiny_config())
 
     def test_config_shape_conflict(self, tmp_path):

@@ -78,16 +78,16 @@ def random_image(rng, max_side=32) -> GrayImage:
     w = int(rng.integers(2, max_side + 1))
     lo = int(rng.integers(0, 128))
     hi = int(rng.integers(lo + 1, 256))
-    return GrayImage.from_array(rng.integers(lo, hi + 1, size=(h, w)).astype(np.uint8))
+    return GrayImage(rng.integers(lo, hi + 1, size=(h, w)).astype(np.uint8))
 
 
 class TestHistogramEqualize:
     def test_constant_unchanged(self):
-        img = GrayImage.from_array(np.full((5, 4), 100, np.uint8))
+        img = GrayImage(np.full((5, 4), 100, np.uint8))
         assert np.array_equal(histogram_equalize(img).pixels, img.pixels)
 
     def test_two_level_case(self):
-        img = GrayImage.from_array(np.array([[10, 10], [20, 20]], np.uint8))
+        img = GrayImage(np.array([[10, 10], [20, 20]], np.uint8))
         assert histogram_equalize(img).pixels.tolist() == [[0, 0], [255, 255]]
 
     @pytest.mark.parametrize("seed", range(50))
@@ -130,16 +130,16 @@ class TestMedianFilter:
     def test_center_spike_removed(self):
         arr = np.zeros((3, 3), np.uint8)
         arr[1, 1] = 255
-        out = median_filter(GrayImage.from_array(arr), 3)
+        out = median_filter(GrayImage(arr), 3)
         assert np.array_equal(out.pixels, np.zeros((3, 3), np.uint8))
 
     def test_constant_unchanged(self):
-        img = GrayImage.from_array(np.full((4, 6), 77, np.uint8))
+        img = GrayImage(np.full((4, 6), 77, np.uint8))
         assert np.array_equal(median_filter(img, 5).pixels, img.pixels)
 
     def test_even_window_rejected(self):
         with pytest.raises(EvenWindow):
-            median_filter(GrayImage.from_array(np.zeros((3, 3), np.uint8)), 4)
+            median_filter(GrayImage(np.zeros((3, 3), np.uint8)), 4)
 
     @pytest.mark.parametrize("seed,window", [(s, w) for s in range(15) for w in (3, 5)])
     def test_matches_oracle(self, seed, window):
@@ -164,18 +164,18 @@ class TestMedianFilter:
 class TestResize:
     def test_identity_when_same_size(self):
         rng = np.random.default_rng(6)
-        img = GrayImage.from_array(rng.integers(0, 256, (7, 7)).astype(np.uint8))
+        img = GrayImage(rng.integers(0, 256, (7, 7)).astype(np.uint8))
         assert np.array_equal(resize(img, 7).pixels, img.pixels)
 
     def test_constant_stays_constant(self):
-        img = GrayImage.from_array(np.full((5, 3), 42, np.uint8))
+        img = GrayImage(np.full((5, 3), 42, np.uint8))
         assert np.all(resize(img, 11).pixels == 42)
 
     def test_checkerboard_downscale(self):
         board = np.zeros((4, 4), np.uint8)
         board[::2, ::2] = 255
         board[1::2, 1::2] = 255
-        out = resize(GrayImage.from_array(board), 2)
+        out = resize(GrayImage(board), 2)
         expect = np.array([[board[0, 0], board[0, 2]], [board[2, 0], board[2, 2]]])
         assert np.array_equal(out.pixels, expect)
 
@@ -190,48 +190,56 @@ class TestResize:
     @pytest.mark.parametrize("scale", [2, 3])
     def test_upscale_downscale_roundtrip(self, scale):
         rng = np.random.default_rng(77)
-        img = GrayImage.from_array(rng.integers(0, 256, (6, 6)).astype(np.uint8))
+        img = GrayImage(rng.integers(0, 256, (6, 6)).astype(np.uint8))
         up = resize(img, 6 * scale)
         back = resize(up, 6)
         assert np.array_equal(back.pixels, img.pixels)
 
 
+class TestGrayImage:
+    @pytest.mark.parametrize("pixels", [np.zeros(4, np.uint8), np.zeros((0, 3), np.uint8)],
+                             ids=["1-d", "empty"])
+    def test_rejects_non_grid(self, pixels):
+        with pytest.raises(ValueError, match="non-empty 2-D"):
+            GrayImage(pixels)
+
+
 class TestNormalize:
     def test_boundary_values(self):
-        img = GrayImage.from_array(np.array([[0, 128, 255]], np.uint8))
+        img = GrayImage(np.array([[0, 128, 255]], np.uint8))
         out = normalize(img)
-        assert out.values[0, 0] == 0.0
-        assert out.values[0, 2] == 1.0
-        assert abs(out.values[0, 1] - 128 / 255) < 1e-7
+        assert out[0, 0] == 0.0
+        assert out[0, 2] == 1.0
+        assert abs(out[0, 1] - 128 / 255) < 1e-7
 
     def test_strictly_monotone(self):
-        img = GrayImage.from_array(np.arange(256, dtype=np.uint8).reshape(16, 16))
-        vals = normalize(img).values.reshape(-1)
+        img = GrayImage(np.arange(256, dtype=np.uint8).reshape(16, 16))
+        vals = normalize(img).reshape(-1)
         assert np.all(np.diff(vals) > 0)
 
     def test_range(self):
         rng = np.random.default_rng(8)
         out = normalize(random_image(rng))
-        assert out.values.min() >= 0.0 and out.values.max() <= 1.0
+        assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 class TestPipeline:
     def test_constant_image(self):
-        img = GrayImage.from_array(np.full((6, 6), 90, np.uint8))
+        img = GrayImage(np.full((6, 6), 90, np.uint8))
         out = prepare(img, target=6, window=3, full=True)
-        assert np.allclose(out.values, 90 / 255)
+        assert np.allclose(out, 90 / 255)
 
     def test_two_level_compose(self):
-        img = GrayImage.from_array(np.array([[10, 10], [20, 20]], np.uint8))
+        img = GrayImage(np.array([[10, 10], [20, 20]], np.uint8))
         out = prepare(img, target=2, window=1, full=True)
-        assert np.allclose(out.values, [[0, 0], [1, 1]])
+        assert np.allclose(out, [[0, 0], [1, 1]])
 
     @pytest.mark.parametrize("seed", range(10))
     def test_output_in_unit_range(self, seed):
         rng = np.random.default_rng(7000 + seed)
         out = prepare(random_image(rng), target=12, window=3, full=True)
-        assert out.values.shape == (12, 12)
-        assert out.values.min() >= 0.0 and out.values.max() <= 1.0
+        assert out.shape == (12, 12)
+        assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 class TestPgmIO:
@@ -245,7 +253,7 @@ class TestPgmIO:
         assert np.array_equal(back.pixels, img.pixels)
 
     def test_exact_header_layout(self, tmp_path):
-        img = GrayImage.from_array(np.array([[1, 2], [3, 4]], np.uint8))
+        img = GrayImage(np.array([[1, 2], [3, 4]], np.uint8))
         path = tmp_path / "img.pgm"
         write_pgm(img, path)
         assert path.read_bytes() == b"P5\n2 2\n255\n\x01\x02\x03\x04"

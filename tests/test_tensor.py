@@ -126,8 +126,6 @@ class TestBackward:
         x.sum().backward()
         x.sum().backward()
         assert np.array_equal(x.grad, np.full(2, 2.0, np.float32))
-        x.zero_grad()
-        assert x.grad is None
 
 
 class TestFiniteDiff:

@@ -251,8 +251,7 @@ def toy_dataset(n_per_class=6, size=16, seed=0) -> Dataset:
             img = base + rng.normal(0, 0.03, (1, size, size))
             images.append(np.clip(img, 0, 1))
             labels.append(cls)
-    return Dataset(np.stack(images).astype(np.float32), np.array(labels),
-                   ("a", "b", "c", "d"))
+    return Dataset(np.stack(images).astype(np.float32), np.array(labels))
 
 
 def toy_model(seed=0):
@@ -337,7 +336,7 @@ class TestTrainLoop:
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyClass):
             train(toy_model(), Dataset(np.zeros((0, 1, 16, 16), np.float32),
-                                       np.zeros(0, np.int64), ("a", "b", "c", "d")),
+                                       np.zeros(0, np.int64)),
                   TrainConfig(epochs=1))
 
 
