@@ -4,6 +4,6 @@ taped reverse-mode autodiff, training, and multiclass evaluation."""
 
 __version__ = "0.1.0"
 
-from .tensor import Tensor, finite_diff_grad, matmul
+from .tensor import Tensor, matmul
 
-__all__ = ["Tensor", "finite_diff_grad", "matmul", "__version__"]
+__all__ = ["Tensor", "matmul", "__version__"]

@@ -155,10 +155,7 @@ def self_attention(x: Tensor, p: SelfAttentionParams, mode: Mode,
     projected = matmul(mixed.reshape([n * t, c]), p.wo)
     projected = dropout(projected, p.dropout, mode, rng).reshape([n, t, c])
 
-    inverse = np.empty_like(idx)
-    for i in range(n):
-        inverse[i, idx[i]] = np.arange(t)
-    restored = _gather_positions(projected, inverse)
+    restored = _gather_positions(projected, np.argsort(idx, axis=1))
 
     out = restored.transpose(0, 2, 1).reshape([n, c, h, w])
     if return_attn:

@@ -210,9 +210,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    staging_dir = _StagingDir(args.out)  # refuse an existing --out before any work
     manifest = ingest(args.in_root)
     written = 0
-    with _StagingDir(args.out) as out_root:
+    with staging_dir as out_root:
         for name in CLASS_NAMES:
             (out_root / name).mkdir()
             if args.stages:

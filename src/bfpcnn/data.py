@@ -35,18 +35,15 @@ class DatasetManifest:
 
 
 def ingest(root) -> DatasetManifest:
-    """Scan a dataset root; files are ordered lexicographically and each one
-    must parse as a valid PGM."""
+    """List a dataset root's files, lexicographically per class. Each reader
+    of the files names the first one that is not a valid PGM."""
     root = Path(root)
     files: dict[str, list[Path]] = {}
     for name in CLASS_NAMES:
         class_dir = root / name
         if not class_dir.is_dir():
             raise MissingClassDir(f"{root}: missing class directory {name!r}")
-        listed = sorted(p for p in class_dir.iterdir() if p.is_file())
-        for path in listed:
-            read_pgm(path)  # raises UnreadableImage naming the file
-        files[name] = listed
+        files[name] = sorted(p for p in class_dir.iterdir() if p.is_file())
     return DatasetManifest(root, files)
 
 

@@ -1,6 +1,6 @@
 """Full classifier assembly: stem and refinement convolutions, two inception
 blocks bracketing the dual attention mechanisms, separable residual blocks,
-and the dense head. Also parameter counting and binary checkpoints."""
+and the dense head. Also binary checkpoints."""
 
 from __future__ import annotations
 
@@ -240,23 +240,28 @@ class ModelGraph:
             p.grad = None
 
 
+def pooled_side(input_size: int) -> int:
+    """Spatial extent after the stride-2 stem and the 3x3 stride-2 pool; every
+    later layer keeps it, so every batchnorm and the head see it."""
+    side = -(-input_size // 2)
+    if side < 3:
+        raise ShapeUnderflow(f"input size {input_size} leaves {side} pixels "
+                             "for the 3x3 stem pool")
+    return (side - 3) // 2 + 1
+
+
 def build_model(cfg: ModelConfig) -> ModelGraph:
     """Instantiate the layer stack; deterministic for a given cfg.seed. With
     ``seed=None`` the weights are allocated but not drawn."""
     rng = None if cfg.seed is None else np.random.default_rng(cfg.seed)
     layers: list[tuple[str, Layer]] = []
-    c, side = 1, cfg.input_size
+    side = pooled_side(cfg.input_size)
 
-    stem = Conv2DParams.create(rng, c, cfg.stem_filters, cfg.stem_kernel,
+    stem = Conv2DParams.create(rng, 1, cfg.stem_filters, cfg.stem_kernel,
                                stride=2, padding="same")
     layers.append(("stem", _conv_relu(stem)))
-    c, side = cfg.stem_filters, -(-side // 2)
-
-    if side < 3:
-        raise ShapeUnderflow(f"input size {cfg.input_size} leaves {side} pixels "
-                             "for the 3x3 stem pool")
     layers.append(("pool", Layer(lambda x, mode, rng: maxpool2d(x, 3, 2))))
-    side = (side - 3) // 2 + 1
+    c = cfg.stem_filters
 
     refine_bn = BatchNormParams.create(c)
     layers.append(("refine.bn", Layer(lambda x, mode, rng: batchnorm(x, refine_bn, mode),
@@ -301,8 +306,6 @@ def build_model(cfg: ModelConfig) -> ModelGraph:
 
     layers.append(("flatten", Layer(lambda x, mode, rng: flatten(x))))
     flat = c * side * side
-    if flat < 1 or side < 1:
-        raise ShapeUnderflow(f"spatial extent collapsed to {side}")
     layers.append(("head", _dense(he_uniform(rng, (flat, cfg.dense_units), flat),
                                   Tensor([cfg.dense_units], 0.0, requires_grad=True), True)))
     layers.append(("head_dropout",
@@ -328,11 +331,6 @@ def forward(model: ModelGraph, batch: Tensor, mode: Mode,
     for _, layer in model.layers:
         x = layer.forward(x, mode, rng)
     return x
-
-
-def param_count(model: ModelGraph) -> int:
-    """Total elements across trainable tensors (running stats excluded)."""
-    return sum(t.size for _, t, trainable in model.named_tensors() if trainable)
 
 
 # -- checkpoints ---------------------------------------------------------------

@@ -87,21 +87,12 @@ class Tensor:
             raise NotScalar(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={list(self.shape)}, requires_grad={self.requires_grad})"
-
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            if self.shape != other.shape:
-                raise DimMismatch(f"add: {self.shape} vs {other.shape}")
-            return apply_op("add", (self, other), self.data + other.data,
-                            lambda g: (g, g))
-        c = float(other)
-        return apply_op("add_scalar", (self,), self.data + np.float32(c), lambda g: (g,))
-
-    __radd__ = __add__
+    def __add__(self, other: "Tensor") -> "Tensor":
+        if self.shape != other.shape:
+            raise DimMismatch(f"add: {self.shape} vs {other.shape}")
+        return apply_op("add", (self, other), self.data + other.data, lambda g: (g, g))
 
     def __mul__(self, other) -> "Tensor":
         if isinstance(other, Tensor):
@@ -113,26 +104,12 @@ class Tensor:
         c = np.float32(float(other))
         return apply_op("mul_scalar", (self,), self.data * c, lambda g: (g * c,))
 
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Tensor":
-        return self * -1.0
-
-    def __sub__(self, other) -> "Tensor":
-        return self + (-other if isinstance(other, Tensor) else -float(other))
-
-    def __matmul__(self, other) -> "Tensor":
-        return matmul(self, other)
-
     def sum(self) -> "Tensor":
         # accumulate in float64, round once: keeps scalar losses accurate
         # enough for finite-difference checks
         total = np.float32(self.data.sum(dtype=np.float64))
         # the scalar g broadcasts over the input shape when it is added
         return apply_op("sum", (self,), np.asarray(total).reshape(()), lambda g: (g,))
-
-    def mean(self) -> "Tensor":
-        return self.sum() * (1.0 / self.size)
 
     def reshape(self, shape: Sequence[int]) -> "Tensor":
         dims = [int(d) for d in shape]
@@ -174,8 +151,6 @@ class Tensor:
         for t in topo:
             if t.requires_grad and t.grad is None:
                 t.grad = np.zeros_like(t.data)
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
         self.grad += np.ones_like(self.data)
         for t in reversed(topo):
             if t.node is not None:
@@ -215,31 +190,3 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     return apply_op("bmm", (a, b), a_data @ b_data,
                     lambda g: (g @ b_data.transpose(0, 2, 1), a_data.transpose(0, 2, 1) @ g))
 
-
-def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor, h: float) -> Tensor:
-    """Central-difference gradient of a scalar-valued function at ``x``.
-
-    Independent of the tape: evaluates ``f`` at 2n perturbed copies of ``x``.
-    The effective step is measured in float64 from the actually stored
-    float32 values, which removes most representation error.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    flat = x.data.reshape(-1)
-    out = np.zeros(flat.size, dtype=np.float64)
-    for i in range(flat.size):
-        plus = flat.copy()
-        plus[i] += np.float32(h)
-        minus = flat.copy()
-        minus[i] -= np.float32(h)
-        span = float(plus[i]) - float(minus[i])
-        fp = _scalar(f(Tensor(list(x.shape), plus)))
-        fm = _scalar(f(Tensor(list(x.shape), minus)))
-        out[i] = (fp - fm) / span
-    return Tensor(list(x.shape), out.astype(np.float32))
-
-
-def _scalar(value) -> float:
-    if isinstance(value, Tensor):
-        return value.item()
-    return float(value)

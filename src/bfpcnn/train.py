@@ -8,12 +8,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    BatchTooSmall,
     EmptyClass,
     EmptyMatrix,
     LabelOutOfRange,
     LengthMismatch,
 )
-from .model import CLASS_NAMES, ModelGraph, forward
+from .model import CLASS_NAMES, ModelGraph, forward, pooled_side
 from .tensor import Tensor, apply_op
 
 LOSS_CLAMP = 1e-12
@@ -33,8 +34,8 @@ class TrainConfig:
 
     def __post_init__(self):
         # zero is allowed: the no-op training contract relies on it
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be >= 0 and finite, got {self.learning_rate}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in (0, 1)")
         if self.batch_size < 1 or self.epochs < 0:
@@ -138,10 +139,7 @@ class ConfusionMatrix:
 
     def normalized(self) -> np.ndarray:
         """Rows divided by their sums; empty rows stay zero."""
-        sums = self.counts.sum(axis=1, keepdims=True)
-        out = np.zeros(self.counts.shape, dtype=np.float64)
-        np.divide(self.counts, sums, out=out, where=sums > 0)
-        return out
+        return _safe_div(self.counts, self.counts.sum(axis=1, keepdims=True))
 
 
 def confusion_matrix(preds, labels, class_count: int) -> ConfusionMatrix:
@@ -264,6 +262,11 @@ def train(model: ModelGraph, data: Dataset, cfg: TrainConfig) -> MetricsReport:
     split_rng, shuffle_rng, dropout_rng = [
         np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)]
     train_idx, val_idx = stratified_split(data.labels, cfg.val_fraction, split_rng)
+    smallest = len(train_idx) % cfg.batch_size or cfg.batch_size
+    side = pooled_side(model.config.input_size)
+    if cfg.epochs and smallest * side * side < 2:
+        raise BatchTooSmall("train-mode batchnorm needs >= 2 values per channel: "
+                            f"the last batch of {smallest} is {side}x{side} at every batchnorm")
 
     params = model.parameters()
     state = OptimizerState.for_params(params, cfg)

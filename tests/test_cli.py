@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from bfpcnn.cli import main, print_prediction, resolve_run_spec
-from bfpcnn.data import CLASS_NAMES, gen_synthetic, ingest
+from bfpcnn.data import CLASS_NAMES, gen_synthetic, ingest, load_dataset
 from bfpcnn.errors import MissingClassDir, UnreadableImage
 from bfpcnn.layers import softmax
 from bfpcnn.preprocess import GrayImage, read_pgm, write_pgm
 from bfpcnn.tensor import Tensor
+from bfpcnn.train import optimizer_step
 
 TINY_MODEL_KV = """
 model.input_size = 16
@@ -85,8 +86,19 @@ class TestIngest:
         bad = tmp_path / "d" / "NonDemented" / "broken.pgm"
         bad.write_bytes(b"P5\n8 8\n255\nxx")
         with pytest.raises(UnreadableImage) as err:
-            ingest(tmp_path / "d")
+            load_dataset(ingest(tmp_path / "d"), target=8)
         assert "broken.pgm" in str(err.value)
+
+    def test_each_file_parsed_once(self, tmp_path, monkeypatch):
+        gen_synthetic(tmp_path / "d", per_class=2, size=8, seed=0)
+        parsed = []
+        monkeypatch.setattr("bfpcnn.data.read_pgm",
+                            lambda path: parsed.append(path) or read_pgm(path))
+        manifest = ingest(tmp_path / "d")
+        load_dataset(manifest, target=8)
+        files = [path for path, _ in manifest.labelled_files()]
+        assert len(files) == 8
+        assert parsed == files
 
     def test_lexicographic_order(self, tmp_path):
         gen_synthetic(tmp_path / "d", per_class=3, size=8, seed=0)
@@ -452,26 +464,45 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == (
             [] if command == "gen" else ["tiny.cfg"])
 
-    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("command", ["train", "eval", "preprocess"])
     def test_existing_out_refused_before_reading_data(self, tmp_path, capsys, command):
         out = tmp_path / "run"
         out.mkdir()
-        args = ["--data", str(tmp_path / "absent"), "--out", str(out)]
+        data_flag = "--in" if command == "preprocess" else "--data"
+        args = [data_flag, str(tmp_path / "absent"), "--out", str(out)]
         if command == "eval":
             args = ["--ckpt", str(tmp_path / "no.ckpt")] + args
         assert main([command] + args) == 1
         assert "already exists" in capsys.readouterr().err
 
-    def test_one_sample_final_batch_is_data_error(self, tmp_path, capsys):
+    def test_one_sample_final_batch_is_data_error(self, tmp_path, capsys, monkeypatch):
         # 12 training samples in batches of 11 leave a last batch of one
         # sample at 1x1 after the stem pool: train-mode batchnorm cannot run
         gen_synthetic(tmp_path / "data", per_class=4, size=8, seed=1)
         cfg = write_tiny_config(tmp_path / "tiny.cfg", "model.input_size = 5\n")
         out = tmp_path / "run"
+        steps = []
+        monkeypatch.setattr("bfpcnn.train.optimizer_step",
+                            lambda *args: steps.append(1) or optimizer_step(*args))
         assert main(["train", "--data", str(tmp_path / "data"), "--config", str(cfg),
                      "--epochs", "1", "--batch", "11", "--out", str(out)]) == 2
         assert "error: train-mode batchnorm needs >= 2 values" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "tiny.cfg"]
+        assert steps == []
+
+    @pytest.mark.parametrize("lr, line", [
+        ("nan", ""), ("inf", ""), (None, "train.lr = nan\n"),
+    ], ids=["flag-nan", "flag-inf", "key-nan"])
+    def test_non_finite_lr_rejected_before_any_work(self, tmp_path, capsys, lr, line):
+        # absent data would exit 2, so exit 1 shows no data was read
+        cfg = write_tiny_config(tmp_path / "tiny.cfg", line)
+        args = ["train", "--data", str(tmp_path / "absent"), "--config", str(cfg),
+                "--out", str(tmp_path / "run")]
+        if lr is not None:
+            args += ["--lr", lr]
+        assert main(args) == 1
+        assert "learning_rate must be >= 0 and finite" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.cfg"]
 
     def test_success(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "d"), "--per-class", "1",

@@ -29,7 +29,6 @@ from bfpcnn.model import (
     build_model,
     forward,
     load_checkpoint,
-    param_count,
     read_kv_file,
     save_checkpoint,
 )
@@ -173,7 +172,7 @@ class TestParamCount:
     def test_tiny_config_closed_form(self):
         cfg = tiny_config()
         model = build_model(cfg)
-        assert param_count(model) == expected_param_count(cfg)
+        assert sum(p.size for p in model.parameters()) == expected_param_count(cfg)
 
     def test_spec_tiny_variant_closed_form(self):
         cfg = tiny_config(
@@ -186,11 +185,11 @@ class TestParamCount:
             dense_units=8,
         )
         model = build_model(cfg)
-        assert param_count(model) == expected_param_count(cfg)
+        assert sum(p.size for p in model.parameters()) == expected_param_count(cfg)
 
     def test_running_stats_not_counted(self):
         model = build_model(tiny_config())
-        trainable = param_count(model)
+        trainable = sum(p.size for p in model.parameters())
         with_buffers = sum(t.size for _, t, _ in model.named_tensors())
         assert with_buffers > trainable
 
@@ -537,7 +536,7 @@ class TestDefaultConfig:
         assert cfg.input_size == 224 and cfg.to_kv()["model.class_count"] == "4"
         assert cfg.stem_filters == 64 and cfg.stem_kernel == 7
         model = build_model(cfg)
-        assert param_count(model) == expected_param_count(cfg)
+        assert sum(p.size for p in model.parameters()) == expected_param_count(cfg)
         rng = np.random.default_rng(1)
         batch = rng.random((2, 1, 224, 224), dtype=np.float32)
         out = forward(model, Tensor([2, 1, 224, 224], batch), "infer")

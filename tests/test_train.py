@@ -1,12 +1,14 @@
 """Loss, optimizers, splitting, metrics oracles, and the training loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bfpcnn.blocks import InceptionConfig, SpatialAttentionConfig
 from bfpcnn.errors import (
+    BatchTooSmall,
     EmptyClass,
     EmptyMatrix,
     LabelOutOfRange,
@@ -105,11 +107,11 @@ class TestOptimizer:
         cfg = TrainConfig(learning_rate=1e-4, optimizer="sgd")
 
         def loss_of():
-            diff = Tensor([4], p.data.copy(), requires_grad=True) - Tensor([4], target)
+            diff = Tensor([4], p.data.copy(), requires_grad=True) + Tensor([4], -target)
             return (diff * diff).sum()
 
         before = loss_of().item()
-        diff = p - Tensor([4], target)
+        diff = p + Tensor([4], -target)
         loss = (diff * diff).sum()
         loss.backward()
         grad_sq = float((p.grad.astype(np.float64) ** 2).sum())
@@ -332,6 +334,16 @@ class TestTrainLoop:
         assert np.array_equal(report.val_idx, val_idx)
         assert np.array_equal(report.confusion.counts,
                               confusion_matrix(preds, data.labels[val_idx], 4).counts)
+
+    def test_zero_epochs_train_no_batch_so_none_is_too_small(self):
+        # 5 px leaves 1x1 after the stem pool, and 16 train samples in
+        # batches of 15 leave a last batch of one sample, which one epoch
+        # refuses (see test_cli) but zero epochs never run
+        model = build_model(replace(toy_model().config, input_size=5))
+        cfg = TrainConfig(epochs=0, batch_size=15, val_fraction=0.25)
+        assert train(model, toy_dataset(size=5), cfg).history == []
+        with pytest.raises(BatchTooSmall):
+            train(model, toy_dataset(size=5), replace(cfg, epochs=1))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyClass):
