@@ -17,12 +17,12 @@ from .layers import (
     concat_depth,
     conv2d,
     dropout,
+    dropout_mask,
     he_uniform,
     maxpool2d,
     relu,
 )
-from .tensor import Tensor, apply_op, bmm, matmul
-from .layers import softmax as softmax_rows
+from .tensor import Tensor, apply_op, matmul
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,38 @@ def _gather_positions(x: Tensor, idx: np.ndarray) -> Tensor:
                     np.take_along_axis(x.data, rows, axis=1), backward)
 
 
+def _attend(q: Tensor, k: Tensor, v: Tensor, scale: float, rate: float, mode: Mode,
+            rng: np.random.Generator | None) -> tuple[Tensor, np.ndarray]:
+    """dropout(softmax(q @ kᵀ * scale)) @ v over [N, T, C] operands, recorded
+    as one tape node; also returns the pre-dropout [N, T, T] weights.
+
+    The float ops and their order are those of the separate batched product,
+    scale, row softmax, dropout and product, so the bits are the same; they
+    run in place on one [N, T, T] buffer.
+    """
+    q_data, k_data, v_data = q.data, k.data, v.data
+    c = np.float32(scale)
+    a = q_data @ k_data.transpose(0, 2, 1)
+    a *= c
+    a -= a.max(axis=2, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=2, keepdims=True)
+    mask = dropout_mask(a.shape, rate, mode, rng)
+    kept = a if mask is None else a * mask
+
+    def backward(g: np.ndarray):
+        d = g @ v_data.transpose(0, 2, 1)
+        dv = kept.transpose(0, 2, 1) @ g
+        if mask is not None:
+            d *= mask
+        d -= (d * a).sum(axis=2, keepdims=True)
+        d *= a
+        d *= c
+        return d @ k_data, (q_data.transpose(0, 2, 1) @ d).transpose(0, 2, 1), dv
+
+    return apply_op("attention", (q, k, v), kept @ v_data, backward), a
+
+
 def self_attention(x: Tensor, p: SelfAttentionParams, mode: Mode,
                    rng: np.random.Generator | None = None, return_attn: bool = False):
     """Scaled dot-product attention across the H*W spatial positions.
@@ -148,10 +180,7 @@ def self_attention(x: Tensor, p: SelfAttentionParams, mode: Mode,
     v = matmul(flat, p.wv).reshape([n, t, c])
 
     scale = float(np.float32(1.0) / np.sqrt(np.float32(c)))
-    scores = bmm(q, k.transpose(0, 2, 1)) * scale
-    attn = softmax_rows(scores.reshape([n * t, t])).reshape([n, t, t])
-    attn_kept = dropout(attn, p.dropout, mode, rng)
-    mixed = bmm(attn_kept, v)
+    mixed, attn = _attend(q, k, v, scale, p.dropout, mode, rng)
     projected = matmul(mixed.reshape([n * t, c]), p.wo)
     projected = dropout(projected, p.dropout, mode, rng).reshape([n, t, c])
 
@@ -159,7 +188,7 @@ def self_attention(x: Tensor, p: SelfAttentionParams, mode: Mode,
 
     out = restored.transpose(0, 2, 1).reshape([n, c, h, w])
     if return_attn:
-        return out, attn.data.copy()
+        return out, attn.copy()
     return out
 
 

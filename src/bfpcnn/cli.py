@@ -304,20 +304,18 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_run(ckpt_path):
-    ckpt_path = Path(ckpt_path)
-    spec_kv = read_kv_file(ckpt_path.parent / "config.txt")
-    spec = RunSpec.from_kv(spec_kv)
-    model = load_checkpoint(ckpt_path, spec.model)
-    return model, spec
+def _run_spec(ckpt_path) -> RunSpec:
+    """The settings of the run that wrote ``ckpt_path``, from its config.txt."""
+    return RunSpec.from_kv(read_kv_file(Path(ckpt_path).parent / "config.txt"))
 
 
 def cmd_eval(args) -> int:
     staging_dir = _StagingDir(args.out)  # refuse an existing --out before any work
-    model, spec = _load_run(args.ckpt)
+    spec = _run_spec(args.ckpt)
     manifest = ingest(args.data)
     dataset = load_dataset(manifest, target=spec.model.input_size,
                            window=spec.window, full_pipeline=spec.preprocess_full)
+    model = load_checkpoint(args.ckpt, spec.model)  # only once the data has loaded
     preds, loss = evaluate(model, dataset.images, dataset.labels,
                            spec.train.batch_size)
     cm = confusion_matrix(preds, dataset.labels, len(CLASS_NAMES))
@@ -331,7 +329,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model, spec = _load_run(args.ckpt)
+    spec = _run_spec(args.ckpt)
+    model = load_checkpoint(args.ckpt, spec.model)
     batch = prepare(read_pgm(args.image), spec.model.input_size, spec.window,
                     spec.preprocess_full)[None, None]
     print_prediction(forward(model, Tensor(batch.shape, batch), "infer").data.reshape(-1))

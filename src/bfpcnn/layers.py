@@ -327,16 +327,24 @@ def softmax(logits: Tensor) -> Tensor:
                     lambda g: (out * (g - (g * out).sum(axis=1, keepdims=True)),))
 
 
-def dropout(x: Tensor, rate: float, mode: Mode, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout: zero with probability ``rate`` and scale survivors
-    by 1/(1-rate) in train mode; identity at inference or at rate 0, the
+def dropout_mask(shape, rate: float, mode: Mode,
+                 rng: np.random.Generator | None) -> np.ndarray | None:
+    """Inverted-dropout multiplier: 0 with probability ``rate``, else
+    1/(1-rate), drawn from ``rng``; ``None`` at inference or at rate 0, the
     only cases that may pass no ``rng``."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
     if mode == "infer" or rate == 0.0:
-        return x
+        return None
     if rng is None:
         raise ValueError("training with dropout needs an explicit rng")
     scale = np.float32(1.0 / (1.0 - rate))
-    mask = (rng.random(x.shape, dtype=np.float32) >= rate) * scale
+    return (rng.random(shape, dtype=np.float32) >= rate) * scale
+
+
+def dropout(x: Tensor, rate: float, mode: Mode, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout through ``dropout_mask``; identity when it is ``None``."""
+    mask = dropout_mask(x.shape, rate, mode, rng)
+    if mask is None:
+        return x
     return apply_op("dropout", (x,), x.data * mask, lambda g: (g * mask,))

@@ -94,15 +94,12 @@ class Tensor:
             raise DimMismatch(f"add: {self.shape} vs {other.shape}")
         return apply_op("add", (self, other), self.data + other.data, lambda g: (g, g))
 
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            if self.shape != other.shape:
-                raise DimMismatch(f"mul: {self.shape} vs {other.shape}")
-            a_data, b_data = self.data, other.data
-            return apply_op("mul", (self, other), a_data * b_data,
-                            lambda g: (g * b_data, g * a_data))
-        c = np.float32(float(other))
-        return apply_op("mul_scalar", (self,), self.data * c, lambda g: (g * c,))
+    def __mul__(self, other: "Tensor") -> "Tensor":
+        if self.shape != other.shape:
+            raise DimMismatch(f"mul: {self.shape} vs {other.shape}")
+        a_data, b_data = self.data, other.data
+        return apply_op("mul", (self, other), a_data * b_data,
+                        lambda g: (g * b_data, g * a_data))
 
     def sum(self) -> "Tensor":
         # accumulate in float64, round once: keeps scalar losses accurate
@@ -178,15 +175,3 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a_data, b_data = a.data, b.data
     return apply_op("matmul", (a, b), a_data @ b_data,
                     lambda g: (g @ b_data.T, a_data.T @ g))
-
-
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product: [N,p,q] @ [N,q,r] -> [N,p,r]."""
-    if a.data.ndim != 3 or b.data.ndim != 3:
-        raise DimMismatch(f"bmm needs rank-3 operands, got {a.shape} and {b.shape}")
-    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise DimMismatch(f"bmm: {a.shape} x {b.shape}")
-    a_data, b_data = a.data, b.data
-    return apply_op("bmm", (a, b), a_data @ b_data,
-                    lambda g: (g @ b_data.transpose(0, 2, 1), a_data.transpose(0, 2, 1) @ g))
-

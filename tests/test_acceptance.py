@@ -17,6 +17,7 @@ from bfpcnn.blocks import (
     SelfAttentionParams,
     SpatialAttentionConfig,
     SpatialAttentionParams,
+    _attend,
     inception_block,
     residual_block,
     self_attention,
@@ -44,7 +45,7 @@ from bfpcnn.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from bfpcnn.tensor import Tensor, bmm, matmul
+from bfpcnn.tensor import Tensor, matmul
 from bfpcnn.train import (
     TrainConfig,
     compute_metrics,
@@ -124,15 +125,25 @@ def test_criterion_2_gradient_correctness():
 
         x = smooth_values(rng, (3, 4))
         c = smooth_values(rng, (3, 4))
-        op_case(lambda t: ((t * Tensor([3, 4], c.copy())) + t * 0.5).sum(), x)
+        op_case(lambda t: ((t * Tensor([3, 4], c.copy())) + t * Tensor([3, 4], 0.5)).sum(), x)
 
         w = smooth_values(rng, (4, 2))
         op_case(lambda t: matmul(t, Tensor([4, 2], w.copy())).sum(),
                 smooth_values(rng, (3, 4)))
 
-        b3 = smooth_values(rng, (2, 4, 3))
-        op_case(lambda t: bmm(t, Tensor([2, 4, 3], b3.copy())).sum(),
-                smooth_values(rng, (2, 3, 4)))
+        q, k, v, up = (smooth_values(rng, (2, 3, 4)) for _ in range(4))
+        rate = 0.3 * (seed % 2)  # odd seeds: one fixed-seed dropout mask for every probe
+
+        def attend(*qkv):
+            out, _ = _attend(*qkv, 0.5, rate, "train", np.random.default_rng(seed))
+            return (out * Tensor([2, 3, 4], up.copy())).sum()
+
+        def fixed(a):
+            return Tensor([2, 3, 4], a.copy())
+
+        op_case(lambda t: attend(t, fixed(k), fixed(v)), q)
+        op_case(lambda t: attend(fixed(q), t, fixed(v)), k)
+        op_case(lambda t: attend(fixed(q), fixed(k), t), v)
 
         op_case(lambda t: (t.transpose(0, 2, 1).reshape([4, 6])
                            * t.transpose(0, 2, 1).reshape([4, 6])).sum(),

@@ -11,6 +11,7 @@ from bfpcnn.blocks import (
     SelfAttentionParams,
     SpatialAttentionConfig,
     SpatialAttentionParams,
+    _attend,
     inception_block,
     residual_block,
     self_attention,
@@ -20,7 +21,7 @@ from bfpcnn.errors import ShapeChange
 from bfpcnn.layers import BatchNormParams, Conv2DParams, batchnorm, conv2d, maxpool2d, relu
 from bfpcnn.tensor import Tensor
 
-from util import check_grad, smooth_values
+from util import check_grad, reference_self_attention, smooth_values
 
 
 def zero_conv(params: Conv2DParams) -> None:
@@ -207,6 +208,48 @@ class TestSelfAttention:
             return self_attention(Tensor([1, 2, 2, 1], xv.copy()), params, "infer").sum()
 
         check_grad(f, Tensor([2, 2], wq0.reshape(-1)), tol=1e-3)
+
+
+class TestFusedAttention:
+    """The one-node attention op against the chain of separate tape ops."""
+
+    @pytest.mark.parametrize("mode, rate", [
+        ("infer", 0.1), ("train", 0.0), ("train", 0.1), ("train", 0.3)])
+    def test_bitwise_equal_to_unfused_chain(self, mode, rate):
+        shape = (3, 5, 7, 7)  # N >= 2, T = 49 not a power of two
+        results = []
+        for attend in (lambda x, p, rng: self_attention(x, p, mode, rng, return_attn=True),
+                       lambda x, p, rng: reference_self_attention(x, p, mode, rng)):
+            rng = np.random.default_rng(21)
+            p = attention_params(rng, 5, dropout=rate)
+            x = Tensor(shape, smooth_values(rng, shape), requires_grad=True)
+            weight = Tensor(shape, smooth_values(rng, shape))
+            draws = np.random.default_rng(8)
+            out, attn = attend(x, p, draws)
+            (out * weight).sum().backward()
+            arrays = [out.data, attn, x.grad, p.wq.grad, p.wk.grad, p.wv.grad, p.wo.grad]
+            results.append(([a.tobytes() for a in arrays], draws.bit_generator.state))
+        (fused, fused_state), (chain, chain_state) = results
+        assert fused == chain
+        assert fused_state == chain_state
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("wrt", ["q", "k", "v"])
+    def test_gradient(self, wrt, rate):
+        rng = np.random.default_rng(500 + "qkv".index(wrt))
+        shape = (2, 3, 4)
+        operands = {name: smooth_values(rng, shape) for name in "qkv"}
+        weight = smooth_values(rng, shape)
+
+        def f(t):
+            args = {name: Tensor(shape, vals.copy()) for name, vals in operands.items()}
+            args[wrt] = t
+            # a fresh generator per call: the same dropout mask every time
+            out, _ = _attend(args["q"], args["k"], args["v"], 0.5, rate, "train",
+                             np.random.default_rng(7))
+            return (out * Tensor(shape, weight.copy())).sum()
+
+        check_grad(f, Tensor(shape, operands[wrt].copy()), tol=1e-3)
 
 
 class TestSpatialAttention:

@@ -304,6 +304,17 @@ class TestEvalCommand:
         assert abs(got_loss - float(loss)) <= 1e-6
         assert abs(got_acc - float(acc)) <= 1e-6
 
+    def test_data_checked_before_checkpoint_load(self, tmp_path, capsys, monkeypatch):
+        out = run_tiny_training(tmp_path, epochs="1")
+        loads = []
+        monkeypatch.setattr("bfpcnn.cli.load_checkpoint", lambda *args: loads.append(args))
+        ev = tmp_path / "evalrun"
+        assert main(["eval", "--ckpt", str(out / "model.ckpt"),
+                     "--data", str(tmp_path / "absent"), "--out", str(ev)]) == 2
+        assert "missing class directory" in capsys.readouterr().err
+        assert not ev.exists()
+        assert loads == []
+
     def test_eval_outputs(self, tmp_path):
         out = run_tiny_training(tmp_path)
         ev = tmp_path / "evalrun"

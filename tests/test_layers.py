@@ -415,7 +415,7 @@ class TestConcatDepth:
     def test_gradients_split(self):
         x = Tensor([1, 1, 2, 2], 1.0, requires_grad=True)
         y = Tensor([1, 2, 2, 2], 1.0, requires_grad=True)
-        (concat_depth(x, y) * 2.0).sum().backward()
+        (concat_depth(x, y) * Tensor([1, 3, 2, 2], 2.0)).sum().backward()
         assert np.all(x.grad == 2.0) and np.all(y.grad == 2.0)
 
     def test_three_inputs_layout_and_gradient_slices(self):

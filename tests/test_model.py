@@ -3,6 +3,7 @@
 import hashlib
 import re
 import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -319,13 +320,13 @@ class TestTapeContract:
         batch = np.random.default_rng(4).random((2, 1, 16, 16), dtype=np.float32)
         loss = cross_entropy_loss(forward(model, Tensor([2, 1, 16, 16], batch), "train"),
                                   [0, 3])
-        stack, seen, kinds = [loss], set(), set()
+        stack, seen, kinds = [loss], set(), Counter()
         while stack:
             t = stack.pop()
             if id(t) in seen or t.node is None:
                 continue
             seen.add(id(t))
-            kinds.add(t.node.op_kind)
+            kinds[t.node.op_kind] += 1
             grads = t.node.backward_fn(np.ones_like(t.data))
             assert len(grads) == len(t.node.inputs), t.node.op_kind
             for inp, g in zip(t.node.inputs, grads):
@@ -334,8 +335,9 @@ class TestTapeContract:
                     assert g is not None and (g + np.zeros_like(inp.data)).shape == inp.shape
             stack.extend(t.node.inputs)
         assert {"conv2d", "depthwise_conv2d", "maxpool2d", "batchnorm", "relu",
-                "concat_depth", "gather_positions", "matmul", "bmm", "softmax", "dense",
-                "cross_entropy", "reshape", "transpose", "add", "mul_scalar"} <= kinds
+                "concat_depth", "gather_positions", "matmul", "attention", "softmax",
+                "dense", "cross_entropy", "reshape", "transpose", "add"} <= set(kinds)
+        assert kinds["attention"] == 1  # the model's one attention layer
 
 
 class TestCheckpoint:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bfpcnn.errors import DimMismatch, NoTape, NotScalar, ZeroDim
-from bfpcnn.tensor import Tensor, bmm, matmul
+from bfpcnn.tensor import Tensor, matmul
 
 from util import check_grad, finite_diff_grad, rel_err, smooth_values
 
@@ -97,7 +97,7 @@ class TestBackward:
 
     def test_diamond_graph_visits_once(self):
         x = Tensor([2], [1.0, 2.0], requires_grad=True)
-        y = x * 2.0
+        y = x * Tensor([2], 2.0)
         (y.sum() + (y * y).sum()).backward()
         # d/dx (2x + 4x^2) = 2 + 8x
         assert np.allclose(x.grad, [10.0, 18.0])
@@ -162,7 +162,7 @@ class TestGradOracle:
         c = Tensor(dims, smooth_values(rng, dims))
 
         def f(t):
-            return ((t * t + t * 0.5) * Tensor(dims, c.data.copy())).sum()
+            return ((t * t + t * Tensor(dims, 0.5)) * Tensor(dims, c.data.copy())).sum()
 
         check_grad(f, x, tol=1e-3)
 
@@ -189,31 +189,20 @@ class TestGradOracle:
 
         check_grad(f, x, tol=1e-3)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_bmm(self, seed):
-        rng = np.random.default_rng(400 + seed)
-        b = smooth_values(rng, (2, 3, 2))
-        x = Tensor([2, 4, 3], smooth_values(rng, (2, 4, 3)))
-
-        def f(t):
-            return bmm(t, Tensor([2, 3, 2], b.copy())).sum()
-
-        check_grad(f, x, tol=1e-3)
-
 
 class TestShapeRules:
     def test_add_shape_mismatch(self):
         with pytest.raises(DimMismatch):
             Tensor([2], 1.0) + Tensor([3], 1.0)
 
-    def test_scalar_broadcast_allowed(self):
-        t = Tensor([2, 2], 1.0) * 3.0
+    def test_mul_elementwise(self):
+        t = Tensor([2, 2], 1.0) * Tensor([2, 2], 3.0)
         assert np.array_equal(t.data, np.full((2, 2), 3.0, np.float32))
 
     def test_reshape_size_conflict(self):
         with pytest.raises(DimMismatch):
             Tensor([4], 1.0).reshape([3])
 
-    def test_bmm_batch_conflict(self):
+    def test_mul_shape_mismatch(self):
         with pytest.raises(DimMismatch):
-            bmm(Tensor([2, 2, 2], 1.0), Tensor([3, 2, 2], 1.0))
+            Tensor([2, 2], 1.0) * Tensor([2, 3], 1.0)

@@ -1,10 +1,13 @@
 """Shared helpers for the test suite: gradient checking against central
-finite differences, and random tensor construction kept away from the
-kinks of relu/maxpool so the differences stay meaningful."""
+finite differences, random tensor construction kept away from the kinks of
+relu/maxpool so the differences stay meaningful, and a reference copy of
+self-attention built from separate tape ops."""
 
 import numpy as np
 
-from bfpcnn.tensor import Tensor
+from bfpcnn.blocks import _gather_positions
+from bfpcnn.layers import softmax
+from bfpcnn.tensor import Tensor, apply_op, matmul
 
 FD_STEP = 1e-3
 
@@ -100,3 +103,50 @@ def check_param_grad(loss_fn, param: Tensor, tol: float, h: float = FD_STEP,
         worst = max(worst, abs(fd - auto[i]) / denom)
     assert worst <= tol, f"param gradient mismatch: rel err {worst:.3e} > {tol:.0e}"
     return worst
+
+
+def _bmm(a: Tensor, b: Tensor) -> Tensor:
+    a_data, b_data = a.data, b.data
+    return apply_op("bmm", (a, b), a_data @ b_data,
+                    lambda g: (g @ b_data.transpose(0, 2, 1), a_data.transpose(0, 2, 1) @ g))
+
+
+def _mul_scalar(x: Tensor, c: float) -> Tensor:
+    c = np.float32(c)
+    return apply_op("mul_scalar", (x,), x.data * c, lambda g: (g * c,))
+
+
+def _dropout(x: Tensor, rate: float, mode: str, rng) -> Tensor:
+    if mode == "infer" or rate == 0.0:
+        return x
+    scale = np.float32(1.0 / (1.0 - rate))
+    mask = (rng.random(x.shape, dtype=np.float32) >= rate) * scale
+    return apply_op("dropout", (x,), x.data * mask, lambda g: (g * mask,))
+
+
+def reference_self_attention(x: Tensor, p, mode: str, rng=None):
+    """``blocks.self_attention`` with ``return_attn``, written as the chain of
+    separate tape ops (batched product, scale, row softmax, dropout, batched
+    product) that the fused attention op must match bit for bit."""
+    n, c, h, w = x.shape
+    t = h * w
+    seq = x.reshape([n, c, t]).transpose(0, 2, 1)
+    idx = np.empty((n, t), dtype=np.int64)
+    for i in range(n):
+        idx[i] = np.lexsort(seq.data[i].T[::-1])
+    canon = _gather_positions(seq, idx)
+
+    flat = canon.reshape([n * t, c])
+    q = matmul(flat, p.wq).reshape([n, t, c])
+    k = matmul(flat, p.wk).reshape([n, t, c])
+    v = matmul(flat, p.wv).reshape([n, t, c])
+
+    scale = float(np.float32(1.0) / np.sqrt(np.float32(c)))
+    scores = _mul_scalar(_bmm(q, k.transpose(0, 2, 1)), scale)
+    attn = softmax(scores.reshape([n * t, t])).reshape([n, t, t])
+    mixed = _bmm(_dropout(attn, p.dropout, mode, rng), v)
+    projected = matmul(mixed.reshape([n * t, c]), p.wo)
+    projected = _dropout(projected, p.dropout, mode, rng).reshape([n, t, c])
+
+    restored = _gather_positions(projected, np.argsort(idx, axis=1))
+    return restored.transpose(0, 2, 1).reshape([n, c, h, w]), attn.data.copy()
