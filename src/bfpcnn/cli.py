@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -273,9 +274,7 @@ class _StagingDir:
         if exc_type is None:
             os.rename(self.tmp, self.final)
         else:
-            for child in sorted(self.tmp.rglob("*"), reverse=True):
-                child.unlink() if child.is_file() else child.rmdir()
-            self.tmp.rmdir()
+            shutil.rmtree(self.tmp)
         return False
 
 
@@ -330,9 +329,9 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     spec = _run_spec(args.ckpt)
-    model = load_checkpoint(args.ckpt, spec.model)
     batch = prepare(read_pgm(args.image), spec.model.input_size, spec.window,
                     spec.preprocess_full)[None, None]
+    model = load_checkpoint(args.ckpt, spec.model)
     print_prediction(forward(model, Tensor(batch.shape, batch), "infer").data.reshape(-1))
     return 0
 

@@ -3,9 +3,9 @@
 A ``Tensor`` wraps a row-major numpy float32 array. Operations on tracked
 tensors record a ``TapeNode`` holding the inputs and a backward closure;
 ``Tensor.backward()`` walks the resulting DAG once in reverse topological
-order and accumulates gradients additively, so fan-out (using the same
-tensor twice) sums contributions. ``Tensor.backward()`` is the only code
-that writes ``.grad``.
+order and sums the gradients each tensor receives, so fan-out adds up. Only
+leaves (tracked tensors no op produced) keep a ``.grad``, which each sweep
+adds to; intermediate gradients live only for the sweep.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ class TapeNode:
     """One recorded operation: kind, input tensors, backward closure.
 
     The closure captures whatever forward values the backward pass needs,
-    receives the output gradient and returns one gradient per input, in
-    input order (``None`` is allowed for an untracked input). It writes
-    nothing; ``Tensor.backward`` adds the results into ``input.grad``.
+    receives the output gradient and returns one float32 gradient of each
+    input's exact shape, in input order (``None`` for an untracked input).
+    It writes nothing, not even into the gradient it receives.
     """
 
     __slots__ = ("op_kind", "inputs", "backward_fn")
@@ -105,8 +105,7 @@ class Tensor:
         # accumulate in float64, round once: keeps scalar losses accurate
         # enough for finite-difference checks
         total = np.float32(self.data.sum(dtype=np.float64))
-        # the scalar g broadcasts over the input shape when it is added
-        return apply_op("sum", (self,), np.asarray(total).reshape(()), lambda g: (g,))
+        return apply_op("sum", (self,), total, lambda g: (np.full_like(self.data, g),))
 
     def reshape(self, shape: Sequence[int]) -> "Tensor":
         dims = [int(d) for d in shape]
@@ -125,10 +124,10 @@ class Tensor:
     # -- reverse-mode sweep -------------------------------------------------
 
     def backward(self) -> None:
-        """Propagate gradients from this scalar to every tracked tensor."""
+        """Add this scalar's gradient to the ``.grad`` of every leaf it depends on."""
         if self.data.size != 1:
             raise NotScalar(f"backward() needs a scalar, got shape {self.shape}")
-        if self.node is None and not self.requires_grad:
+        if not self.requires_grad:
             raise NoTape("backward() on a value with no recorded computation")
         topo: list[Tensor] = []
         seen: set[int] = set()
@@ -143,17 +142,16 @@ class Tensor:
             seen.add(id(t))
             stack.append((t, True))
             if t.node is not None:
-                for inp in t.node.inputs:
-                    stack.append((inp, False))
-        for t in topo:
-            if t.requires_grad and t.grad is None:
-                t.grad = np.zeros_like(t.data)
-        self.grad += np.ones_like(self.data)
+                stack.extend((inp, False) for inp in t.node.inputs if inp.requires_grad)
+        grads = {id(self): np.ones_like(self.data)}
         for t in reversed(topo):
-            if t.node is not None:
-                for inp, g in zip(t.node.inputs, t.node.backward_fn(t.grad)):
-                    if inp.requires_grad:
-                        inp.grad += g
+            g = grads.pop(id(t))
+            if t.node is None:
+                t.grad = g if t.grad is None else t.grad + g
+                continue
+            for inp, g_in in zip(t.node.inputs, t.node.backward_fn(g)):
+                if inp.requires_grad:
+                    grads[id(inp)] = g_in if id(inp) not in grads else grads[id(inp)] + g_in
 
 
 def apply_op(op_kind: str, inputs: Sequence[Tensor], data: np.ndarray,

@@ -241,6 +241,7 @@ def evaluate(model: ModelGraph, images: np.ndarray, labels: np.ndarray,
         probs = forward(model, Tensor(batch.shape, batch), "infer")
         preds[start:stop] = probs.data.argmax(axis=1)
         loss_sum += cross_entropy_loss(probs, labels[start:stop]).item() * (stop - start)
+        del probs  # free this batch's graph before the next forward
     return preds, loss_sum / max(len(labels), 1)
 
 
@@ -278,10 +279,10 @@ def train(model: ModelGraph, data: Dataset, cfg: TrainConfig) -> MetricsReport:
         for start in range(0, len(order), cfg.batch_size):
             chosen = order[start:start + cfg.batch_size]
             batch = data.images[chosen]
-            probs = forward(model, Tensor(batch.shape, batch), "train", rng=dropout_rng)
-            loss = cross_entropy_loss(probs, data.labels[chosen])
             model.zero_grads()
-            loss.backward()
+            # unnamed, the step's graph dies with its backward sweep
+            cross_entropy_loss(forward(model, Tensor(batch.shape, batch), "train",
+                                       rng=dropout_rng), data.labels[chosen]).backward()
             optimizer_step(params, state, cfg)
         train_stats, _ = _phase_stats(model, data, train_idx, epoch, "train",
                                       cfg.batch_size)

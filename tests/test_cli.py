@@ -342,6 +342,15 @@ class TestPredictCommand:
         best = max(probs, key=probs.get)
         assert lines[4] == f"predicted: {best}"
 
+    def test_image_checked_before_checkpoint_load(self, tmp_path, capsys, monkeypatch):
+        out = run_tiny_training(tmp_path, epochs="1")
+        loads = []
+        monkeypatch.setattr("bfpcnn.cli.load_checkpoint", lambda *args: loads.append(args))
+        assert main(["predict", "--ckpt", str(out / "model.ckpt"),
+                     "--image", str(tmp_path / "absent.pgm")]) == 2
+        assert "absent.pgm" in capsys.readouterr().err
+        assert loads == []
+
     def test_identical_images_identical_output(self, tmp_path, capsys):
         out = run_tiny_training(tmp_path)
         capsys.readouterr()  # drop training output

@@ -33,7 +33,7 @@ from bfpcnn.model import (
     read_kv_file,
     save_checkpoint,
 )
-from bfpcnn.tensor import Tensor
+from bfpcnn.tensor import TapeNode, Tensor
 from bfpcnn.train import cross_entropy_loss
 
 from util import check_param_grad
@@ -332,12 +332,43 @@ class TestTapeContract:
             for inp, g in zip(t.node.inputs, grads):
                 assert inp.grad is None, t.node.op_kind
                 if inp.requires_grad:
-                    assert g is not None and (g + np.zeros_like(inp.data)).shape == inp.shape
+                    assert g is not None and g.shape == inp.shape, t.node.op_kind
+                    assert g.dtype == np.float32, t.node.op_kind
             stack.extend(t.node.inputs)
         assert {"conv2d", "depthwise_conv2d", "maxpool2d", "batchnorm", "relu",
                 "concat_depth", "gather_positions", "matmul", "attention", "softmax",
                 "dense", "cross_entropy", "reshape", "transpose", "add"} <= set(kinds)
         assert kinds["attention"] == 1  # the model's one attention layer
+
+    @staticmethod
+    def _train_step_grads(model, rng_seed):
+        batch = np.random.default_rng(5).random((2, 1, 16, 16), dtype=np.float32)
+        probs = forward(model, Tensor([2, 1, 16, 16], batch), "train",
+                        rng=np.random.default_rng(rng_seed))
+        cross_entropy_loss(probs, [1, 2]).backward()
+        return [p.grad for p in model.parameters()]
+
+    def test_parameter_grads_are_float32_of_the_parameter_shape(self):
+        model = build_model(tiny_config(seed=6, dropout_rate=0.3, attn_dropout=0.2))
+        for p, g in zip(model.parameters(), self._train_step_grads(model, 1)):
+            assert g is not None and g.dtype == np.float32 and g.shape == p.shape
+
+    def test_closures_never_write_into_their_gradient(self, monkeypatch):
+        cfg = tiny_config(seed=7, dropout_rate=0.3, attn_dropout=0.2)
+        expected = self._train_step_grads(build_model(cfg), 2)
+        node_init = TapeNode.__init__
+
+        def read_only_g(node, op_kind, inputs, backward_fn):
+            def wrapped(g):
+                view = g.view()
+                view.flags.writeable = False  # any write into g now raises
+                return backward_fn(view)
+            node_init(node, op_kind, inputs, wrapped)
+
+        monkeypatch.setattr(TapeNode, "__init__", read_only_g)
+        got = self._train_step_grads(build_model(cfg), 2)
+        for a, b in zip(expected, got):
+            assert np.array_equal(a, b)
 
 
 class TestCheckpoint:

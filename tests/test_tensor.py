@@ -122,6 +122,30 @@ class TestBackward:
         x.sum().backward()
         assert np.array_equal(x.grad, np.full(2, 2.0, np.float32))
 
+    def test_second_sweep_of_one_graph_adds_the_same_gradient(self):
+        x = Tensor([3], [1, 2, 3], requires_grad=True)
+        loss = (x * Tensor([3], 3.0)).sum()
+        loss.backward()
+        loss.backward()
+        # a stale intermediate gradient would make the second sweep add 9
+        assert np.array_equal(x.grad, np.full(3, 6.0, np.float32))
+
+    def test_intermediate_shared_by_two_graphs(self):
+        x = Tensor([2], [1, 2], requires_grad=True)
+        y = x * Tensor([2], 2.0)
+        y.sum().backward()
+        (y * Tensor([2], 3.0)).sum().backward()
+        assert np.array_equal(x.grad, np.full(2, 2.0 + 6.0, np.float32))
+
+    def test_only_leaves_keep_a_gradient(self):
+        x = Tensor([2], [1, 2], requires_grad=True)
+        y = x * Tensor([2], 2.0)
+        z = y.reshape([1, 2])
+        loss = (z * z).sum()
+        loss.backward()
+        assert y.grad is None and z.grad is None and loss.grad is None
+        assert np.array_equal(x.grad, np.array([8.0, 16.0], np.float32))
+
 
 class TestFiniteDiff:
     def test_linear_is_exact(self):
