@@ -22,7 +22,7 @@ from .layers import (
     maxpool2d,
     relu,
 )
-from .tensor import Tensor, apply_op, matmul
+from .tensor import Tensor, apply_op, matmul, records
 
 
 @dataclass(frozen=True)
@@ -117,35 +117,52 @@ def _gather_positions(x: Tensor, idx: np.ndarray) -> Tensor:
 
 
 def _attend(q: Tensor, k: Tensor, v: Tensor, scale: float, rate: float, mode: Mode,
-            rng: np.random.Generator | None) -> tuple[Tensor, np.ndarray]:
+            rng: np.random.Generator | None,
+            keep_attn: bool = False) -> tuple[Tensor, np.ndarray | None]:
     """dropout(softmax(q @ kᵀ * scale)) @ v over [N, T, C] operands, recorded
-    as one tape node; also returns the pre-dropout [N, T, T] weights.
+    as one tape node; with ``keep_attn`` also returns the pre-dropout
+    [N, T, T] weights.
 
     The float ops and their order are those of the separate batched product,
-    scale, row softmax, dropout and product, so the bits are the same; they
-    run in place on one [N, T, T] buffer.
+    scale, row softmax, dropout and product, so the bits are the same. Both
+    passes run one sample at a time, so each works on a [T, T] block that
+    stays in cache: in the forward, a slice of the [N, T, T] buffer when the
+    backward or the caller needs the weights, else one buffer that every
+    sample reuses.
     """
     q_data, k_data, v_data = q.data, k.data, v.data
+    n, t, _ = q_data.shape
     c = np.float32(scale)
-    a = q_data @ k_data.transpose(0, 2, 1)
-    a *= c
-    a -= a.max(axis=2, keepdims=True)
-    np.exp(a, out=a)
-    a /= a.sum(axis=2, keepdims=True)
-    mask = dropout_mask(a.shape, rate, mode, rng)
-    kept = a if mask is None else a * mask
+    mask = dropout_mask((n, t, t), rate, mode, rng)
+    taped = records((q, k, v))
+    every = taped or keep_attn
+    a = np.empty((n if every else 1, t, t), dtype=np.float32)
+    mixed = np.empty_like(v_data)
+    for i in range(n):
+        s = a[i if every else 0]
+        np.matmul(q_data[i], k_data[i].T, out=s)
+        s *= c
+        s -= s.max(axis=1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=1, keepdims=True)
+        np.matmul(s if mask is None else s * mask[i], v_data[i], out=mixed[i])
 
     def backward(g: np.ndarray):
-        d = g @ v_data.transpose(0, 2, 1)
-        dv = kept.transpose(0, 2, 1) @ g
-        if mask is not None:
-            d *= mask
-        d -= (d * a).sum(axis=2, keepdims=True)
-        d *= a
-        d *= c
-        return d @ k_data, (q_data.transpose(0, 2, 1) @ d).transpose(0, 2, 1), dv
+        dq, dk, dv = np.empty_like(q_data), np.empty_like(k_data), np.empty_like(v_data)
+        for i in range(n):
+            s = a[i]
+            np.matmul((s if mask is None else s * mask[i]).T, g[i], out=dv[i])
+            d = g[i] @ v_data[i].T
+            if mask is not None:
+                d *= mask[i]
+            d -= (d * s).sum(axis=1, keepdims=True)
+            d *= s
+            d *= c
+            np.matmul(d, k_data[i], out=dq[i])
+            dk[i] = (q_data[i].T @ d).T
+        return dq, dk, dv
 
-    return apply_op("attention", (q, k, v), kept @ v_data, backward), a
+    return apply_op("attention", (q, k, v), mixed, backward), a if keep_attn else None
 
 
 def self_attention(x: Tensor, p: SelfAttentionParams, mode: Mode,
@@ -180,7 +197,7 @@ def self_attention(x: Tensor, p: SelfAttentionParams, mode: Mode,
     v = matmul(flat, p.wv).reshape([n, t, c])
 
     scale = float(np.float32(1.0) / np.sqrt(np.float32(c)))
-    mixed, attn = _attend(q, k, v, scale, p.dropout, mode, rng)
+    mixed, attn = _attend(q, k, v, scale, p.dropout, mode, rng, return_attn)
     projected = matmul(mixed.reshape([n * t, c]), p.wo)
     projected = dropout(projected, p.dropout, mode, rng).reshape([n, t, c])
 

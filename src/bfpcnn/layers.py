@@ -262,18 +262,15 @@ def batchnorm(x: Tensor, p: BatchNormParams, mode: Mode) -> Tensor:
     centered = x.data - mu.reshape(1, c, 1, 1)
     xhat = centered * inv4
     out = g4 * xhat + beta.data.reshape(1, c, 1, 1)
-    # dx has batch-statistics terms in train mode only; the infer closure
-    # must not keep the centered copy alive
-    batch_centered = centered if mode == "train" else None
 
     def backward(g: np.ndarray):
         dxhat = g * g4
         dx = dxhat * inv4
-        if batch_centered is not None:
-            dvar = (dxhat * batch_centered).sum(axis=(0, 2, 3)) * (-0.5) * inv ** 3
+        if mode == "train":  # dx has batch-statistics terms
+            dvar = (dxhat * centered).sum(axis=(0, 2, 3)) * (-0.5) * inv ** 3
             dmu = -(dxhat.sum(axis=(0, 2, 3)) * inv) \
-                - dvar * 2.0 / m * batch_centered.sum(axis=(0, 2, 3))
-            dx = (dx + dvar.reshape(1, c, 1, 1) * 2.0 / m * batch_centered
+                - dvar * 2.0 / m * centered.sum(axis=(0, 2, 3))
+            dx = (dx + dvar.reshape(1, c, 1, 1) * 2.0 / m * centered
                   + dmu.reshape(1, c, 1, 1) / m)
         return dx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
 

@@ -4,6 +4,7 @@ and the dense head. Also binary checkpoints."""
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import sys
@@ -49,7 +50,7 @@ from .layers import (
     separable_conv2d,
     softmax,
 )
-from .tensor import Tensor
+from .tensor import Tensor, no_tape
 
 # the classifier's outputs in order, and the dataset's class directory names
 CLASS_NAMES = ("MildDemented", "ModerateDemented", "NonDemented", "VeryMildDemented")
@@ -323,13 +324,14 @@ def build_model(cfg: ModelConfig) -> ModelGraph:
 def forward(model: ModelGraph, batch: Tensor, mode: Mode,
             rng: np.random.Generator | None = None) -> Tensor:
     """Run the stack on a [N, 1, S, S] batch; returns [N, len(CLASS_NAMES)] rows
-    of class probabilities."""
+    of class probabilities. An infer forward records no tape."""
     s = model.config.input_size
     if batch.data.ndim != 4 or batch.shape[1] != 1 or batch.shape[2:] != (s, s):
         raise ShapeMismatch(f"expected [N, 1, {s}, {s}], got {list(batch.shape)}")
     x = batch
-    for _, layer in model.layers:
-        x = layer.forward(x, mode, rng)
+    with no_tape() if mode == "infer" else contextlib.nullcontext():
+        for _, layer in model.layers:
+            x = layer.forward(x, mode, rng)
     return x
 
 

@@ -5,17 +5,34 @@ tensors record a ``TapeNode`` holding the inputs and a backward closure;
 ``Tensor.backward()`` walks the resulting DAG once in reverse topological
 order and sums the gradients each tensor receives, so fan-out adds up. Only
 leaves (tracked tensors no op produced) keep a ``.grad``, which each sweep
-adds to; intermediate gradients live only for the sweep.
+adds to; intermediate gradients live only for the sweep. Inside ``no_tape()``
+no op records a node, so nothing outlives the values a caller keeps.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DimMismatch, NoTape, NotScalar, ZeroDim
+
+
+_recording = True  # False inside no_tape()
+
+
+@contextlib.contextmanager
+def no_tape():
+    """Record no tape node inside the block, whatever the inputs; the
+    previous setting comes back on exit, also on an exception."""
+    global _recording
+    outer, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = outer
 
 
 class TapeNode:
@@ -154,11 +171,17 @@ class Tensor:
                     grads[id(inp)] = g_in if id(inp) not in grads else grads[id(inp)] + g_in
 
 
+def records(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op on ``inputs`` records a tape node: some input is tracked
+    and the op runs outside ``no_tape()``."""
+    return _recording and any(t.requires_grad for t in inputs)
+
+
 def apply_op(op_kind: str, inputs: Sequence[Tensor], data: np.ndarray,
              backward_fn: Callable[[np.ndarray], tuple]) -> Tensor:
-    """Wrap an op result, recording a tape node when any input is tracked."""
+    """Wrap an op result, recording a tape node when ``records(inputs)``."""
     out = Tensor._wrap(np.asarray(data, dtype=np.float32))
-    if any(t.requires_grad for t in inputs):
+    if records(inputs):
         out.requires_grad = True
         out.node = TapeNode(op_kind, tuple(inputs), backward_fn)
     return out

@@ -241,7 +241,6 @@ def evaluate(model: ModelGraph, images: np.ndarray, labels: np.ndarray,
         probs = forward(model, Tensor(batch.shape, batch), "infer")
         preds[start:stop] = probs.data.argmax(axis=1)
         loss_sum += cross_entropy_loss(probs, labels[start:stop]).item() * (stop - start)
-        del probs  # free this batch's graph before the next forward
     return preds, loss_sum / max(len(labels), 1)
 
 

@@ -19,7 +19,7 @@ from bfpcnn.blocks import (
 )
 from bfpcnn.errors import ShapeChange
 from bfpcnn.layers import BatchNormParams, Conv2DParams, batchnorm, conv2d, maxpool2d, relu
-from bfpcnn.tensor import Tensor
+from bfpcnn.tensor import Tensor, no_tape
 
 from util import check_grad, reference_self_attention, smooth_values
 
@@ -170,6 +170,17 @@ class TestSelfAttention:
         assert np.array_equal(out_p.reshape(1, c, t),
                               base.reshape(1, c, t)[:, :, perm])
 
+    # the model's infer forwards run attention untaped
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rows_sum_to_one_untaped(self, seed):
+        with no_tape():
+            self.test_rows_sum_to_one(seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_position_permutation_equivariance_bitwise_untaped(self, seed):
+        with no_tape():
+            self.test_position_permutation_equivariance_bitwise(seed)
+
     def test_train_dropout_needs_rng(self):
         rng = np.random.default_rng(14)
         p = attention_params(rng, 2, dropout=0.1)
@@ -232,6 +243,48 @@ class TestFusedAttention:
         (fused, fused_state), (chain, chain_state) = results
         assert fused == chain
         assert fused_state == chain_state
+
+    @staticmethod
+    def _normal_case(n: int, rate: float):
+        # normal values: uniform ones give near-equal scores that can hide a
+        # reordered sum
+        rng = np.random.default_rng(31)
+        p = attention_params(rng, 4, dropout=rate)
+        shape = (n, 4, 5, 3)  # T = 15, odd
+        x = Tensor(shape, rng.standard_normal(shape, dtype=np.float32), requires_grad=True)
+        return p, x, Tensor(shape, rng.standard_normal(shape, dtype=np.float32))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16])
+    @pytest.mark.parametrize("mode, rate", [("infer", 0.1), ("train", 0.0), ("train", 0.3)])
+    def test_loop_matches_chain_on_normal_values(self, n, mode, rate):
+        def taped(attend):
+            p, x, weight = self._normal_case(n, rate)
+            draws = np.random.default_rng(9)
+            out, attn = attend(x, p, draws)
+            (out * weight).sum().backward()
+            arrays = [out.data, attn, x.grad, p.wq.grad, p.wk.grad, p.wv.grad, p.wo.grad]
+            return [a.tobytes() for a in arrays], draws.bit_generator.state
+
+        loop = taped(lambda x, p, rng: self_attention(x, p, mode, rng, return_attn=True))
+        assert loop == taped(lambda x, p, rng: reference_self_attention(x, p, mode, rng))
+
+    @pytest.mark.parametrize("return_attn", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16])
+    @pytest.mark.parametrize("mode, rate", [("infer", 0.1), ("train", 0.0), ("train", 0.3)])
+    def test_untaped_loop_matches_chain(self, n, mode, rate, return_attn):
+        p, x, _ = self._normal_case(n, rate)
+        draws = np.random.default_rng(9)
+        expected, expected_attn = reference_self_attention(x, p, mode, draws)
+        expected_state = draws.bit_generator.state
+        draws = np.random.default_rng(9)
+        with no_tape():
+            out = self_attention(x, p, mode, draws, return_attn=return_attn)
+        if return_attn:
+            out, attn = out
+            assert attn.tobytes() == expected_attn.tobytes()
+        assert out.node is None
+        assert out.data.tobytes() == expected.data.tobytes()
+        assert draws.bit_generator.state == expected_state
 
     @pytest.mark.parametrize("rate", [0.0, 0.3])
     @pytest.mark.parametrize("wrt", ["q", "k", "v"])

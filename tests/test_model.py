@@ -18,6 +18,7 @@ from bfpcnn.blocks import (
 from bfpcnn.errors import (
     BadMagic,
     ConfigError,
+    NoTape,
     ShapeConflict,
     ShapeMismatch,
     ShapeUnderflow,
@@ -339,6 +340,33 @@ class TestTapeContract:
                 "concat_depth", "gather_positions", "matmul", "attention", "softmax",
                 "dense", "cross_entropy", "reshape", "transpose", "add"} <= set(kinds)
         assert kinds["attention"] == 1  # the model's one attention layer
+
+    def test_infer_forward_records_no_tape(self):
+        model = build_model(tiny_config(seed=8, attn_dropout=0.2))
+        batch = np.random.default_rng(8).random((2, 1, 16, 16), dtype=np.float32)
+        probs = forward(model, Tensor([2, 1, 16, 16], batch), "infer")
+        assert probs.node is None and not probs.requires_grad
+        with pytest.raises(NoTape):
+            cross_entropy_loss(probs, [0, 1]).backward()
+        assert all(p.grad is None for p in model.parameters())
+
+    def test_train_forward_records_after_a_failed_infer_forward(self):
+        model = build_model(tiny_config(seed=9))
+        _, layer = model.layers[-1]
+        inner = layer.forward
+
+        def failing(x, mode, rng):
+            raise RuntimeError("inside the untaped forward")
+
+        layer.forward = failing
+        batch = np.random.default_rng(9).random((2, 1, 16, 16), dtype=np.float32)
+        with pytest.raises(RuntimeError):
+            forward(model, Tensor([2, 1, 16, 16], batch), "infer")
+        layer.forward = inner
+        probs = forward(model, Tensor([2, 1, 16, 16], batch), "train")
+        assert probs.node is not None
+        cross_entropy_loss(probs, [0, 1]).backward()
+        assert all(p.grad is not None for p in model.parameters())
 
     @staticmethod
     def _train_step_grads(model, rng_seed):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bfpcnn.errors import DimMismatch, NoTape, NotScalar, ZeroDim
-from bfpcnn.tensor import Tensor, matmul
+from bfpcnn.tensor import Tensor, matmul, no_tape, records
 
 from util import check_grad, finite_diff_grad, rel_err, smooth_values
 
@@ -145,6 +145,43 @@ class TestBackward:
         loss.backward()
         assert y.grad is None and z.grad is None and loss.grad is None
         assert np.array_equal(x.grad, np.array([8.0, 16.0], np.float32))
+
+
+class TestNoTape:
+    def test_ops_record_nothing_inside(self):
+        x = Tensor([2], [1, 2], requires_grad=True)
+        with no_tape():
+            y = (x * x).sum()
+        assert y.node is None and not y.requires_grad
+        assert y.item() == 5.0
+        with pytest.raises(NoTape):
+            y.backward()
+        assert x.grad is None
+
+    def test_records_needs_a_tracked_input_and_recording_on(self):
+        tracked, plain = Tensor([1], 1.0, requires_grad=True), Tensor([1], 1.0)
+        assert records([plain, tracked]) and not records([plain])
+        with no_tape():
+            assert not records([tracked])
+        assert records([tracked])
+
+    def test_nested_blocks_restore_the_outer_setting(self):
+        x = Tensor([1], 1.0, requires_grad=True)
+        with no_tape():
+            with no_tape():
+                pass
+            assert (x * x).node is None
+        assert (x * x).node is not None
+
+    def test_recording_comes_back_after_an_exception(self):
+        x = Tensor([2], [1, 2], requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with no_tape():
+                raise RuntimeError("inside")
+        y = (x * x).sum()
+        assert y.node is not None
+        y.backward()
+        assert np.array_equal(x.grad, np.array([2.0, 4.0], np.float32))
 
 
 class TestFiniteDiff:
