@@ -28,6 +28,7 @@ from .model import (
 from .preprocess import (
     DEFAULT_TARGET,
     DEFAULT_WINDOW,
+    check_window,
     histogram_equalize,
     median_filter,
     prepare,
@@ -212,6 +213,7 @@ def cmd_gen(args) -> int:
 
 def cmd_preprocess(args) -> int:
     staging_dir = _StagingDir(args.out)  # refuse an existing --out before any work
+    check_window(args.window)
     manifest = ingest(args.in_root)
     written = 0
     with staging_dir as out_root:

@@ -2,10 +2,11 @@
 dilated), max pooling, batch normalization, relu, dense, flatten, depth
 concatenation, dropout and softmax.
 
-Convolutions are cross-correlations (no kernel flip). Spatial kernels run
-through im2col: the input is unfolded into per-window columns once, the
-forward pass is a single matrix product, and the backward pass scatters
-column gradients back with the transposed unfolding.
+Convolutions are cross-correlations (no kernel flip) lowered to im2col
+through one strided window view of the padded input: the forward pass is a
+single matrix product over the view's columns, which 1x1 stride-1 kernels
+read in place and larger ones copy once, and the backward pass adds column
+gradients back through the same view. Max pooling reads the same view.
 """
 
 from __future__ import annotations
@@ -117,39 +118,35 @@ def _axis_geometry(size: int, kernel: int, stride: int, dilation: int,
     return 0, 0, (size - eff) // stride + 1
 
 
+def _windows(x: np.ndarray, stride: int, dilation: int, taps) -> np.ndarray:
+    """[N, C, kh, kw, oh, ow] view of a padded [N, C, H, W] array, for
+    ``taps = (kh, kw, oh, ow)``: element (i, j, y, x) is
+    x[..., y*stride + i*dilation, x*stride + j*dilation]."""
+    sn, sc, sh, sw = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x, (*x.shape[:2], *taps), (sn, sc, sh * dilation, sw * dilation, sh * stride, sw * stride))
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, dilation: int,
             padding: Padding, fill: float = 0.0):
-    n, c, h, w = x.shape
+    """Window view of ``x`` padded with ``fill``, and the geometry through
+    which ``_col2im`` scatters back."""
+    h, w = x.shape[2:]
     pt, pb, oh = _axis_geometry(h, kh, stride, dilation, padding)
     pl, pr, ow = _axis_geometry(w, kw, stride, dilation, padding)
     if pt or pb or pl or pr:
         x = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)),
                    constant_values=np.float32(fill))
-    col = np.empty((n, c, kh, kw, oh, ow), dtype=np.float32)
-    for i in range(kh):
-        i0 = i * dilation
-        for j in range(kw):
-            j0 = j * dilation
-            col[:, :, i, j] = x[:, :, i0:i0 + stride * oh:stride,
-                                j0:j0 + stride * ow:stride]
-    return col, (pt, pl, oh, ow)
+    return (_windows(x, stride, dilation, (kh, kw, oh, ow)),
+            (x.shape, stride, dilation, pt, pl, h, w))
 
 
-def _col2im(dcol: np.ndarray, in_shape, stride: int, dilation: int, pads) -> np.ndarray:
-    n, c, h, w = in_shape
-    pt, pl, oh, ow = pads
-    kh, kw = dcol.shape[2], dcol.shape[3]
-    eff_h = (kh - 1) * dilation + 1
-    eff_w = (kw - 1) * dilation + 1
-    ph = max(h + pt, (oh - 1) * stride + eff_h)
-    pw = max(w + pl, (ow - 1) * stride + eff_w)
-    dx = np.zeros((n, c, ph, pw), dtype=np.float32)
-    for i in range(kh):
-        i0 = i * dilation
-        for j in range(kw):
-            j0 = j * dilation
-            dx[:, :, i0:i0 + stride * oh:stride,
-               j0:j0 + stride * ow:stride] += dcol[:, :, i, j]
+def _col2im(dcol: np.ndarray, geometry) -> np.ndarray:
+    padded, stride, dilation, pt, pl, h, w = geometry
+    dx = np.zeros(padded, dtype=np.float32)
+    view = _windows(dx, stride, dilation, dcol.shape[2:])
+    for i, j in np.ndindex(dcol.shape[2:4]):
+        view[:, :, i, j] += dcol[:, :, i, j]
     return dx[:, :, pt:pt + h, pl:pl + w]
 
 
@@ -161,12 +158,12 @@ def conv2d(x: Tensor, p: Conv2DParams) -> Tensor:
     out_ch, in_ch, kh, kw = p.weights.shape
     if c != in_ch:
         raise ChannelMismatch(f"conv2d: input has {c} channels, weights expect {in_ch}")
-    col, pads = _im2col(x.data, kh, kw, p.stride, p.dilation, p.padding)
-    oh, ow = pads[2], pads[3]
+    col, geometry = _im2col(x.data, kh, kw, p.stride, p.dilation, p.padding)
+    oh, ow = col.shape[4:]
+    # copies unless the view already is a matrix, as for 1x1 stride-1 kernels
     cols = col.reshape(n, in_ch * kh * kw, oh * ow)
     w2 = p.weights.data.reshape(out_ch, -1)
     out = np.matmul(w2, cols) + p.bias.data.reshape(1, out_ch, 1)
-    stride, dilation = p.stride, p.dilation
 
     def backward(g: np.ndarray):
         g2 = g.reshape(n, out_ch, oh * ow)
@@ -176,8 +173,7 @@ def conv2d(x: Tensor, p: Conv2DParams) -> Tensor:
         # col2im scatter there would cost every train step
         if x.requires_grad:
             dcols = np.matmul(w2.T, g2)
-            dx = _col2im(dcols.reshape(n, in_ch, kh, kw, oh, ow),
-                         x.shape, stride, dilation, pads)
+            dx = _col2im(dcols.reshape(n, in_ch, kh, kw, oh, ow), geometry)
         return dx, dw.reshape(out_ch, in_ch, kh, kw), g2.sum(axis=(0, 2))
 
     return apply_op("conv2d", (x, p.weights, p.bias), out.reshape(n, out_ch, oh, ow),
@@ -186,16 +182,17 @@ def conv2d(x: Tensor, p: Conv2DParams) -> Tensor:
 
 def _depthwise_conv2d(x: Tensor, depthwise: Tensor) -> Tensor:
     """Per-channel 3x3-style convolution, same padding, stride 1."""
-    n, c, h, w = x.shape
-    kh, kw = depthwise.shape[2], depthwise.shape[3]
-    col, pads = _im2col(x.data, kh, kw, 1, 1, "same")
+    c, _, kh, kw = depthwise.shape
+    col, geometry = _im2col(x.data, kh, kw, 1, 1, "same")
+    # a copy: einsum sums the strided view in another order (weight grad at N = 1)
+    col = np.ascontiguousarray(col)
     dw = depthwise.data.reshape(c, kh, kw)
     out = np.einsum("ncijhw,cij->nchw", col, dw, optimize=True)
 
     def backward(g: np.ndarray):
         dcol = np.einsum("cij,nchw->ncijhw", dw, g, optimize=True)
         grad_w = np.einsum("ncijhw,nchw->cij", col, g, optimize=True)
-        return _col2im(dcol, x.shape, 1, 1, pads), grad_w.reshape(depthwise.shape)
+        return _col2im(dcol, geometry), grad_w.reshape(depthwise.shape)
 
     return apply_op("depthwise_conv2d", (x, depthwise), out, backward)
 
@@ -221,16 +218,15 @@ def maxpool2d(x: Tensor, k: int, stride: int, padding: Padding = "valid") -> Ten
     if k < 1 or stride < 1:
         raise ValueError("k and stride must be >= 1")
     # -inf padding keeps padded cells out of every max
-    col, pads = _im2col(x.data, k, k, stride, 1, padding, fill=-np.inf)
-    oh, ow = pads[2], pads[3]
-    flat = col.reshape(n, c, k * k, oh, ow)
+    col, geometry = _im2col(x.data, k, k, stride, 1, padding, fill=-np.inf)
+    flat = col.reshape(n, c, k * k, *col.shape[4:])
     arg = flat.argmax(axis=2)
     out = np.take_along_axis(flat, arg[:, :, None], axis=2).squeeze(2)
 
     def backward(g: np.ndarray):
         dcol = np.zeros_like(flat)
         np.put_along_axis(dcol, arg[:, :, None], g[:, :, None], axis=2)
-        return (_col2im(dcol.reshape(n, c, k, k, oh, ow), x.shape, stride, 1, pads),)
+        return (_col2im(dcol.reshape(n, c, k, k, *arg.shape[2:]), geometry),)
 
     return apply_op("maxpool2d", (x,), out, backward)
 

@@ -365,10 +365,10 @@ def load_checkpoint(path, cfg: ModelConfig) -> ModelGraph:
         view = _Reader(fh, path)
         if view.take(4) != CHECKPOINT_MAGIC:
             raise BadMagic(f"{path}: expected magic {CHECKPOINT_MAGIC!r}")
-        version = view.u32()
+        version = view.uint("<I")
         if version != CHECKPOINT_VERSION:
             raise VersionMismatch(f"{path}: version {version}, supported {CHECKPOINT_VERSION}")
-        count = view.u32()
+        count = view.uint("<I")
 
         # the weights stay uninitialised until read, so any failure below
         # must raise before the model is returned
@@ -377,9 +377,9 @@ def load_checkpoint(path, cfg: ModelConfig) -> ModelGraph:
         table = {name: t for name, t, _ in model.named_tensors()}
         seen: set[str] = set()
         for _ in range(count):
-            name = view.take(view.u16()).decode("utf-8")
-            rank = view.u8()
-            dims = tuple(view.u32() for _ in range(rank))
+            name = view.take(view.uint("<H")).decode("utf-8", "backslashreplace")
+            rank = view.uint("<B")
+            dims = tuple(view.uint("<I") for _ in range(rank))
             if name not in table:
                 raise ShapeConflict(f"{path}: unexpected tensor {name!r}")
             if name in seen:
@@ -391,7 +391,7 @@ def load_checkpoint(path, cfg: ModelConfig) -> ModelGraph:
             view.fill(target.data)
             seen.add(name)
         if fh.read(1):
-            raise ShapeConflict(f"{path}: unexpected data after byte {view.pos}")
+            raise ShapeConflict(f"{path}: unexpected data after byte {fh.tell() - 1}")
     missing = set(table) - seen
     if missing:
         raise ShapeConflict(f"{path}: tensors missing from checkpoint: {sorted(missing)[:4]}")
@@ -399,47 +399,43 @@ def load_checkpoint(path, cfg: ModelConfig) -> ModelGraph:
 
 
 class _Reader:
-    """Reads checkpoint fields in order from an open file, counting bytes so
-    that a short read can say where the file ended."""
+    """Reads checkpoint fields in order from an open file; a short read says
+    where the file ended."""
 
     def __init__(self, fh, path):
         self.fh = fh
-        self.pos = 0
         self.path = path
 
-    def _advance(self, got: int, n: int) -> None:
+    def _check(self, got: int, n: int) -> None:
         if got < n:
-            raise TruncatedFile(f"{self.path}: ended at byte {self.pos + got}, "
-                                f"needed {self.pos + n}")
-        self.pos += n
+            end = self.fh.tell()
+            raise TruncatedFile(f"{self.path}: ended at byte {end}, needed {end - got + n}")
 
     def take(self, n: int) -> bytes:
         chunk = self.fh.read(n)
-        self._advance(len(chunk), n)
+        self._check(len(chunk), n)
         return chunk
 
     def fill(self, array: np.ndarray) -> None:
         """Read a little-endian float32 payload into ``array`` in place."""
         # through a temporary byte view: numpy keeps a buffer description on
         # each array it exports, which would otherwise stay with the model
-        self._advance(self.fh.readinto(array.view(np.uint8)), array.nbytes)
+        self._check(self.fh.readinto(array.view(np.uint8)), array.nbytes)
         if sys.byteorder != "little":
             array.byteswap(inplace=True)
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+    def uint(self, fmt: str) -> int:
+        """One little-endian unsigned field of struct format ``fmt``."""
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
 
 
 def read_kv_file(path) -> dict[str, str]:
     """Parse `key = value` lines; '#' starts a comment."""
     values: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:

@@ -55,11 +55,16 @@ def histogram_equalize(img: GrayImage) -> GrayImage:
     return GrayImage(lut[img.pixels])
 
 
+def check_window(window: int) -> None:
+    """Raise ``EvenWindow`` unless ``window`` is odd and positive."""
+    if window < 1 or window % 2 == 0:
+        raise EvenWindow(f"window must be odd and positive, got {window}")
+
+
 def median_filter(img: GrayImage, window: int = DEFAULT_WINDOW) -> GrayImage:
     """Replace each pixel by the exact median of its window x window
     neighborhood; borders are padded by edge replication."""
-    if window < 1 or window % 2 == 0:
-        raise EvenWindow(f"window must be odd and positive, got {window}")
+    check_window(window)
     if window == 1:
         return GrayImage(img.pixels.copy())
     r = window // 2

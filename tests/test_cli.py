@@ -176,6 +176,17 @@ class TestPreprocessCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
 
 
+    @pytest.mark.parametrize("window", ["4", "0"])
+    def test_bad_window_refused_before_reading_the_tree(self, tmp_path, capsys, window):
+        for name in CLASS_NAMES:
+            (tmp_path / "in" / name).mkdir(parents=True)
+        assert main(["preprocess", "--in", str(tmp_path / "in"),
+                     "--out", str(tmp_path / "out"), "--window", window]) == 1
+        assert capsys.readouterr().err == \
+            f"error: window must be odd and positive, got {window}\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestRunSpec:
     def test_table_defaults(self):
         spec = resolve_run_spec(None, None, None, None, None)
@@ -407,6 +418,43 @@ class TestExitCodes:
         assert main(["eval", "--ckpt", str(tmp_path / "no.ckpt"),
                      "--data", str(tmp_path / "absent"), "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_non_utf8_train_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"train.lr = 0.5\n# \xff\xfe\n")
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(tmp_path / "absent"), "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: not UTF-8 text (byte 17)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_non_utf8_run_config_is_config_error(self, tmp_path, capsys, command):
+        run = run_tiny_training(tmp_path, epochs="1")
+        config = run / "config.txt"
+        size = config.stat().st_size
+        with open(config, "ab") as fh:
+            fh.write(b"# \xff\xfe")
+        capsys.readouterr()  # drop training output
+        image = next((tmp_path / "data" / "NonDemented").glob("*.pgm"))
+        target = (["--data", str(tmp_path / "data"), "--out", str(tmp_path / "eval")]
+                  if command == "eval" else ["--image", str(image)])
+        assert main([command, "--ckpt", str(run / "model.ckpt"), *target]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {config}: not UTF-8 text (byte {size + 2})\n"
+        assert not (tmp_path / "eval").exists()
+
+    def test_non_utf8_checkpoint_name_is_data_error(self, tmp_path, capsys):
+        run = run_tiny_training(tmp_path, epochs="1")
+        ckpt = run / "model.ckpt"
+        raw = bytearray(ckpt.read_bytes())
+        raw[14] = 0xFF  # first byte of the first tensor name
+        ckpt.write_bytes(bytes(raw))
+        capsys.readouterr()  # drop training output
+        image = next((tmp_path / "data" / "NonDemented").glob("*.pgm"))
+        assert main(["predict", "--ckpt", str(ckpt), "--image", str(image)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1
 
     def test_even_window_in_config_is_config_error(self, tmp_path):
         gen_synthetic(tmp_path / "data", per_class=2, size=16, seed=1)

@@ -27,7 +27,13 @@ from bfpcnn.layers import (
 )
 from bfpcnn.tensor import Tensor
 
-from util import check_grad, distinct_values, smooth_values
+from util import (
+    check_grad,
+    distinct_values,
+    reference_col2im,
+    reference_im2col,
+    smooth_values,
+)
 
 
 def conv_params(weights, bias, stride=1, padding="valid", dilation=1, track=False):
@@ -283,6 +289,49 @@ class TestMaxPool2d:
             return maxpool2d(t, 2, 2).sum()
 
         check_grad(f, Tensor([1, 2, 4, 4], xv.copy()), tol=1e-3)
+
+
+class TestWindowView:
+    """Every conv and pool gives the bits of the per-tap unfold and scatter
+    that the strided window view replaced: outputs and all gradients, on
+    normal-valued inputs (uniform ones have hidden a bit split before)."""
+
+    @staticmethod
+    def _bits(layer, *shapes):
+        """Output, then the gradient of each input, of ``layer`` applied to
+        tracked normal-valued tensors of ``shapes``, each as bytes."""
+        rng = np.random.default_rng(17)
+        inputs = [Tensor(s, rng.standard_normal(s, dtype=np.float32), requires_grad=True)
+                  for s in shapes]
+        out = layer(*inputs)
+        weight = rng.standard_normal(out.shape, dtype=np.float32)
+        (out * Tensor(out.shape, weight)).sum().backward()
+        return [a.tobytes() for a in [out.data] + [t.grad for t in inputs]]
+
+    def _assert_same_bits(self, monkeypatch, layer, *shapes):
+        window = self._bits(layer, *shapes)
+        monkeypatch.setattr(layers, "_im2col", reference_im2col)
+        monkeypatch.setattr(layers, "_col2im", reference_col2im)
+        assert window == self._bits(layer, *shapes)
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("dilation", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [1, 3, 5, 7])
+    def test_conv2d(self, monkeypatch, kernel, stride, dilation, padding):
+        def layer(x, w, b):
+            return conv2d(x, Conv2DParams(w, b, stride, padding, dilation))
+        self._assert_same_bits(monkeypatch, layer, (2, 3, 15, 14), (4, 3, kernel, kernel), (4,))
+
+    @pytest.mark.parametrize("k, stride, padding", [(3, 2, "valid"), (2, 1, "same")])
+    def test_maxpool2d(self, monkeypatch, k, stride, padding):
+        self._assert_same_bits(monkeypatch, lambda x: maxpool2d(x, k, stride, padding),
+                               (2, 3, 15, 14))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_separable_conv2d(self, monkeypatch, n):
+        self._assert_same_bits(monkeypatch, separable_conv2d,
+                               (n, 6, 15, 14), (6, 1, 3, 3), (5, 6, 1, 1), (5,))
 
 
 class TestBatchNorm:

@@ -522,6 +522,17 @@ class TestCheckpoint:
                            match=f"{re.escape(str(path))}: unexpected data after byte {size}"):
             load_checkpoint(path, tiny_config())
 
+    def test_non_utf8_name_refused(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(tiny_config()), path)
+        raw = bytearray(path.read_bytes())
+        raw[14] = 0xFF  # first byte of the name "stem.weight"
+        path.write_bytes(bytes(raw))
+        # the message spells the bad byte out, as repr shows a backslash
+        expected = f"{path}: unexpected tensor " + r"'\\xfftem.weight'"
+        with pytest.raises(ShapeConflict, match=re.escape(expected)):
+            load_checkpoint(path, tiny_config())
+
     def test_repeated_name_refused(self, tmp_path):
         path = tmp_path / "model.ckpt"
         entries = list(build_model(tiny_config()).named_tensors())
@@ -578,6 +589,13 @@ class TestConfigSerialization:
         path = tmp_path / "run.cfg"
         path.write_text("a = 1\n# comment\nb = two words  # trailing\n\n")
         assert read_kv_file(path) == {"a": "1", "b": "two words"}
+
+    def test_kv_file_not_utf8_names_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"a = 1\n# \xff\xfe\n")
+        with pytest.raises(ConfigError,
+                           match=f"^{re.escape(str(path))}: not UTF-8 text \\(byte 8\\)$"):
+            read_kv_file(path)
 
     def test_kv_file_rejects_garbage(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -1,12 +1,13 @@
 """Shared helpers for the test suite: gradient checking against central
 finite differences, random tensor construction kept away from the kinks of
-relu/maxpool so the differences stay meaningful, and a reference copy of
-self-attention built from separate tape ops."""
+relu/maxpool so the differences stay meaningful, a reference copy of
+self-attention built from separate tape ops, and a per-tap im2col pair that
+the layers' strided window view must match."""
 
 import numpy as np
 
 from bfpcnn.blocks import _gather_positions
-from bfpcnn.layers import softmax
+from bfpcnn.layers import _axis_geometry, softmax
 from bfpcnn.tensor import Tensor, apply_op, matmul
 
 FD_STEP = 1e-3
@@ -150,3 +151,42 @@ def reference_self_attention(x: Tensor, p, mode: str, rng=None):
 
     restored = _gather_positions(projected, np.argsort(idx, axis=1))
     return restored.transpose(0, 2, 1).reshape([n, c, h, w]), attn.data.copy()
+
+
+def reference_im2col(x: np.ndarray, kh: int, kw: int, stride: int, dilation: int,
+                     padding, fill: float = 0.0):
+    """``layers._im2col`` as a copy per kernel tap into a fresh
+    [N, C, kh, kw, oh, ow] array; its geometry suits ``reference_col2im``."""
+    n, c, h, w = x.shape
+    pt, pb, oh = _axis_geometry(h, kh, stride, dilation, padding)
+    pl, pr, ow = _axis_geometry(w, kw, stride, dilation, padding)
+    if pt or pb or pl or pr:
+        x = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)),
+                   constant_values=np.float32(fill))
+    col = np.empty((n, c, kh, kw, oh, ow), dtype=np.float32)
+    for i in range(kh):
+        i0 = i * dilation
+        for j in range(kw):
+            j0 = j * dilation
+            col[:, :, i, j] = x[:, :, i0:i0 + stride * oh:stride,
+                                j0:j0 + stride * ow:stride]
+    return col, ((n, c, h, w), stride, dilation, (pt, pl, oh, ow))
+
+
+def reference_col2im(dcol: np.ndarray, geometry) -> np.ndarray:
+    """``layers._col2im`` with the padded extent and tap offsets re-derived
+    from the kernel, stride and dilation."""
+    (n, c, h, w), stride, dilation, (pt, pl, oh, ow) = geometry
+    kh, kw = dcol.shape[2], dcol.shape[3]
+    eff_h = (kh - 1) * dilation + 1
+    eff_w = (kw - 1) * dilation + 1
+    ph = max(h + pt, (oh - 1) * stride + eff_h)
+    pw = max(w + pl, (ow - 1) * stride + eff_w)
+    dx = np.zeros((n, c, ph, pw), dtype=np.float32)
+    for i in range(kh):
+        i0 = i * dilation
+        for j in range(kw):
+            j0 = j * dilation
+            dx[:, :, i0:i0 + stride * oh:stride,
+               j0:j0 + stride * ow:stride] += dcol[:, :, i, j]
+    return dx[:, :, pt:pt + h, pl:pl + w]
