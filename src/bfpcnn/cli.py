@@ -28,12 +28,11 @@ from .model import (
 from .preprocess import (
     DEFAULT_TARGET,
     DEFAULT_WINDOW,
+    STAGES,
     check_window,
-    histogram_equalize,
-    median_filter,
     prepare,
     read_pgm,
-    resize,
+    stages,
     write_pgm,
 )
 from .tensor import Tensor
@@ -90,6 +89,8 @@ class RunSpec:
             window = int(kv.get("preprocess.window", DEFAULT_WINDOW))
         except ValueError as exc:
             raise errors.ConfigError(f"bad configuration value: {exc}") from exc
+        if full:
+            check_window(window)
         return cls(model, train_cfg, full, window)
 
 
@@ -220,17 +221,14 @@ def cmd_preprocess(args) -> int:
         for name in CLASS_NAMES:
             (out_root / name).mkdir()
             if args.stages:
-                for stage in ("equalized", "filtered", "resized"):
+                for stage in STAGES:
                     (out_root / "stages" / stage / name).mkdir(parents=True)
             for path in manifest.files[name]:
-                equalized = histogram_equalize(read_pgm(path))
-                filtered = median_filter(equalized, args.window)
-                resized = resize(filtered, args.target)
-                write_pgm(resized, out_root / name / path.name)
+                images = stages(read_pgm(path), args.target, args.window)
+                write_pgm(images[-1], out_root / name / path.name)
                 if args.stages:
-                    write_pgm(equalized, out_root / "stages" / "equalized" / name / path.name)
-                    write_pgm(filtered, out_root / "stages" / "filtered" / name / path.name)
-                    write_pgm(resized, out_root / "stages" / "resized" / name / path.name)
+                    for stage, img in zip(STAGES, images):
+                        write_pgm(img, out_root / "stages" / stage / name / path.name)
                 written += 1
     print(f"preprocessed {written} images into {Path(args.out)}")
     return 0
@@ -297,10 +295,10 @@ def cmd_train(args) -> int:
         _write_confusion_csvs(report.confusion, staging / "confusion.csv",
                               staging / "confusion_normalized.csv")
         (staging / "metrics.txt").write_text(_metrics_text(report))
-        (staging / "train_files.txt").write_text(
-            "".join(f"{files[i]}\n" for i in report.train_idx))
-        (staging / "val_files.txt").write_text(
-            "".join(f"{files[i]}\n" for i in report.val_idx))
+        # each line is a file's name as the file system holds it, UTF-8 or not
+        for split, idx in (("train", report.train_idx), ("val", report.val_idx)):
+            (staging / f"{split}_files.txt").write_bytes(
+                b"".join(os.fsencode(files[i]) + b"\n" for i in idx))
     print(f"run complete: {args.out} (val accuracy {report.accuracy:.4f})")
     return 0
 

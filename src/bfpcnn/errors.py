@@ -61,10 +61,6 @@ class ShapeChange(Error):
 
 
 # model assembly and checkpoints
-class ShapeUnderflow(DataError):
-    """The configured input size is too small for the layer stack."""
-
-
 class ShapeMismatch(DataError):
     """A batch fed to the model has the wrong shape."""
 

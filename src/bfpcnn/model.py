@@ -31,7 +31,6 @@ from .errors import (
     ConfigError,
     ShapeConflict,
     ShapeMismatch,
-    ShapeUnderflow,
     TruncatedFile,
     VersionMismatch,
 )
@@ -82,8 +81,7 @@ class ModelConfig:
     seed: int | None = 0
 
     def __post_init__(self):
-        if self.input_size < 1:
-            raise ValueError("input_size must be positive")
+        pooled_side(self.input_size)
         if min(self.stem_filters, self.stem_kernel, self.dense_units,
                *self.refine_filters, *self.sep_block_filters) < 1:
             raise ValueError("every width and kernel must be >= 1")
@@ -246,8 +244,8 @@ def pooled_side(input_size: int) -> int:
     later layer keeps it, so every batchnorm and the head see it."""
     side = -(-input_size // 2)
     if side < 3:
-        raise ShapeUnderflow(f"input size {input_size} leaves {side} pixels "
-                             "for the 3x3 stem pool")
+        raise ValueError(f"input_size must be >= 5 to leave the 3x3 stem pool "
+                         f"3 pixels, got {input_size}")
     return (side - 3) // 2 + 1
 
 
@@ -360,7 +358,8 @@ def save_checkpoint(model: ModelGraph, path) -> None:
 
 def load_checkpoint(path, cfg: ModelConfig) -> ModelGraph:
     """Rebuild the model for ``cfg`` without drawing weights, then read every
-    tensor from the file straight into its own buffer, bitwise."""
+    tensor straight into its own buffer, bitwise. The file must hold exactly
+    ``named_tensors()`` in order, as ``save_checkpoint`` writes them."""
     with open(path, "rb") as fh:
         view = _Reader(fh, path)
         if view.take(4) != CHECKPOINT_MAGIC:
@@ -374,27 +373,23 @@ def load_checkpoint(path, cfg: ModelConfig) -> ModelGraph:
         # must raise before the model is returned
         model = build_model(replace(cfg, seed=None))
         model.config = cfg
-        table = {name: t for name, t, _ in model.named_tensors()}
-        seen: set[str] = set()
-        for _ in range(count):
+        expected = [(name, t) for name, t, _ in model.named_tensors()]
+        for i in range(count):
             name = view.take(view.uint("<H")).decode("utf-8", "backslashreplace")
-            rank = view.uint("<B")
-            dims = tuple(view.uint("<I") for _ in range(rank))
-            if name not in table:
-                raise ShapeConflict(f"{path}: unexpected tensor {name!r}")
-            if name in seen:
-                raise ShapeConflict(f"{path}: tensor {name!r} appears twice")
-            target = table[name]
-            if target.shape != dims:
-                raise ShapeConflict(
-                    f"{path}: {name!r} has shape {dims}, model expects {target.shape}")
+            dims = tuple(view.uint("<I") for _ in range(view.uint("<B")))
+            if i == len(expected):
+                raise ShapeConflict(f"{path}: unexpected tensor {name!r} after the "
+                                    f"model's last, {expected[-1][0]!r}")
+            want, target = expected[i]
+            if (name, dims) != (want, target.shape):
+                raise ShapeConflict(f"{path}: tensor {i} is {name!r} {dims}, "
+                                    f"model expects {want!r} {target.shape}")
             view.fill(target.data)
-            seen.add(name)
         if fh.read(1):
             raise ShapeConflict(f"{path}: unexpected data after byte {fh.tell() - 1}")
-    missing = set(table) - seen
-    if missing:
-        raise ShapeConflict(f"{path}: tensors missing from checkpoint: {sorted(missing)[:4]}")
+    if count < len(expected):
+        raise ShapeConflict(f"{path}: ends after {count} tensors, "
+                            f"model expects {expected[count][0]!r} next")
     return model
 
 

@@ -93,12 +93,20 @@ def normalize(img: GrayImage) -> np.ndarray:
     return img.pixels.astype(np.float32) / np.float32(255.0)
 
 
+STAGES = ("equalized", "filtered", "resized")
+
+
+def stages(img: GrayImage, target: int, window: int) -> tuple[GrayImage, ...]:
+    """The image after each of STAGES, in order: equalize, median-filter, resize."""
+    equalized = histogram_equalize(img)
+    filtered = median_filter(equalized, window)
+    return equalized, filtered, resize(filtered, target)
+
+
 def prepare(img: GrayImage, target: int, window: int, full: bool) -> np.ndarray:
-    """The model input for one image, float32 [target, target]: equalize and
-    median-filter when ``full``, then resize and normalize."""
-    if full:
-        img = median_filter(histogram_equalize(img), window)
-    return normalize(resize(img, target))
+    """The model input for one image, float32 [target, target]: the resized
+    image of ``stages`` when ``full``, else a plain resize; then normalized."""
+    return normalize(stages(img, target, window)[-1] if full else resize(img, target))
 
 
 # -- binary PGM (P5) ---------------------------------------------------------

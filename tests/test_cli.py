@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: generation, preprocessing, training,
 evaluation, prediction, exit codes and artifact layout."""
 
+import os
 import shutil
 from decimal import Decimal
 from pathlib import Path
@@ -272,6 +273,17 @@ class TestTrainCommand:
         # the same data directory, so they match too
         assert bytes1 == bytes2
 
+    def test_non_utf8_file_name_listed_as_its_bytes(self, tmp_path):
+        data = tmp_path / "data"
+        gen_synthetic(data, per_class=4, size=16, seed=1)
+        odd = data / "NonDemented" / os.fsdecode(b"\xff_odd.pgm")
+        shutil.copy(data / "NonDemented" / "NonDemented_0000.pgm", odd)
+        out = run_tiny_training(tmp_path, epochs="1")
+        lines = ((out / "train_files.txt").read_bytes()
+                 + (out / "val_files.txt").read_bytes()).splitlines()
+        assert os.fsencode(odd) in lines
+        assert sorted(lines) == sorted(os.fsencode(p) for p in data.rglob("*.pgm"))
+
     def test_existing_out_dir_refused(self, tmp_path):
         (tmp_path / "run").mkdir()
         data = tmp_path / "data"
@@ -455,6 +467,33 @@ class TestExitCodes:
         assert main(["predict", "--ckpt", str(ckpt), "--image", str(image)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("lines, message", [
+        ("model.input_size = 4\n", "input_size must be >= 5"),
+        ("preprocess.full = true\npreprocess.window = 4\n",
+         "window must be odd and positive, got 4"),
+    ], ids=["input-size-4", "even-window"])
+    @pytest.mark.parametrize("command", ["train", "eval", "predict"])
+    def test_bad_setting_refused_before_reading_data(self, tmp_path, capsys, command,
+                                                     lines, message):
+        # absent data would exit 2, so exit 1 shows no data was read
+        out = tmp_path / "out"
+        absent = str(tmp_path / "absent")
+        if command == "train":
+            cfg = write_tiny_config(tmp_path / "tiny.cfg", lines)
+            args = ["train", "--data", absent, "--config", str(cfg), "--out", str(out)]
+        else:
+            run = run_tiny_training(tmp_path, epochs="1")
+            with open(run / "config.txt", "a") as fh:
+                fh.write(lines)  # a later line overrides the run's own value
+            capsys.readouterr()  # drop training output
+            args = [command, "--ckpt", str(run / "model.ckpt")] + (
+                ["--data", absent, "--out", str(out)] if command == "eval"
+                else ["--image", absent])
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_even_window_in_config_is_config_error(self, tmp_path):
         gen_synthetic(tmp_path / "data", per_class=2, size=16, seed=1)

@@ -21,7 +21,6 @@ from bfpcnn.errors import (
     NoTape,
     ShapeConflict,
     ShapeMismatch,
-    ShapeUnderflow,
     TruncatedFile,
     VersionMismatch,
 )
@@ -130,8 +129,8 @@ class TestBuild:
         assert not np.array_equal(stem_a.data, stem_b.data)
 
     def test_shape_underflow(self):
-        with pytest.raises(ShapeUnderflow):
-            build_model(tiny_config(input_size=4))
+        with pytest.raises(ValueError, match="input_size must be >= 5"):
+            tiny_config(input_size=4)
 
     @pytest.mark.parametrize("size", [5, 6, 7, 8])
     def test_smallest_input_sizes_forward(self, size):
@@ -509,7 +508,7 @@ class TestCheckpoint:
         model = build_model(tiny_config())
         entries = [e for e in model.named_tensors() if e[0] != "sep1.bias"]
         save_checkpoint(SimpleNamespace(named_tensors=lambda: entries), path)
-        with pytest.raises(ShapeConflict, match="missing from checkpoint.*sep1.bias"):
+        with pytest.raises(ShapeConflict, match="model expects 'sep1.bias'"):
             load_checkpoint(path, tiny_config())
 
     def test_trailing_data_refused(self, tmp_path):
@@ -529,7 +528,7 @@ class TestCheckpoint:
         raw[14] = 0xFF  # first byte of the name "stem.weight"
         path.write_bytes(bytes(raw))
         # the message spells the bad byte out, as repr shows a backslash
-        expected = f"{path}: unexpected tensor " + r"'\\xfftem.weight'"
+        expected = f"{path}: tensor 0 is " + r"'\\xfftem.weight'"
         with pytest.raises(ShapeConflict, match=re.escape(expected)):
             load_checkpoint(path, tiny_config())
 
@@ -538,7 +537,53 @@ class TestCheckpoint:
         entries = list(build_model(tiny_config()).named_tensors())
         save_checkpoint(SimpleNamespace(named_tensors=lambda: entries + entries[:1]), path)
         with pytest.raises(ShapeConflict,
-                           match=f"{re.escape(str(path))}: tensor 'stem.weight' appears twice"):
+                           match=f"{re.escape(str(path))}: unexpected tensor 'stem.weight'"):
+            load_checkpoint(path, tiny_config())
+
+    # each entry: how to spoil a saved tiny checkpoint, and the refusal's text
+    # after the path; the loader reads entries in named_tensors() order
+    SPOILED = {
+        "missing-middle": (
+            lambda save, e, raw: save(e[:26] + e[27:]),
+            "tensor 26 is 'sep1.bn.gamma' (4,), model expects 'sep1.bias' (4,)"),
+        "missing-last": (
+            lambda save, e, raw: save(e[:-1]),
+            f"ends after {len(TINY_LAYOUT) - 1} tensors, model expects "
+            "'classify.bias' next"),
+        "appended-duplicate": (
+            lambda save, e, raw: save(e + e[:1]),
+            "unexpected tensor 'stem.weight' after the model's last, 'classify.bias'"),
+        "swapped": (
+            lambda save, e, raw: save(e[:2] + [e[3], e[2]] + e[4:]),
+            "tensor 2 is 'refine.bn.beta' (2,), model expects 'refine.bn.gamma' (2,)"),
+        "wrong-dims": (
+            lambda save, e, raw: save(
+                list(build_model(tiny_config(stem_filters=3)).named_tensors())),
+            "tensor 0 is 'stem.weight' (3, 1, 7, 7), model expects 'stem.weight' "
+            "(2, 1, 7, 7)"),
+        "non-utf8-name": (
+            lambda save, e, raw: raw[:14] + b"\xff" + raw[15:],
+            r"tensor 0 is '\\xfftem.weight' (2, 1, 7, 7), model expects 'stem.weight' "
+            "(2, 1, 7, 7)"),
+        "trailing-bytes": (
+            lambda save, e, raw: raw + b"x",
+            "unexpected data after byte {size}"),
+    }
+
+    @pytest.mark.parametrize("case", SPOILED)
+    def test_spoiled_checkpoint_refused_naming_tensors(self, tmp_path, case):
+        spoil, message = self.SPOILED[case]
+        path = tmp_path / "model.ckpt"
+
+        def save_entries(entries):
+            save_checkpoint(SimpleNamespace(named_tensors=lambda: entries), path)
+            return path.read_bytes()
+
+        entries = list(build_model(tiny_config()).named_tensors())
+        raw = save_entries(entries)
+        path.write_bytes(spoil(save_entries, entries, raw))
+        expected = f"{path}: " + message.format(size=len(raw))
+        with pytest.raises(ShapeConflict, match=f"^{re.escape(expected)}$"):
             load_checkpoint(path, tiny_config())
 
     def test_config_shape_conflict(self, tmp_path):
