@@ -110,7 +110,10 @@ def _parse_bool(raw: str) -> bool:
 def resolve_run_spec(config_path, lr, epochs, batch, seed) -> RunSpec:
     kv: dict[str, str] = {}
     if config_path is not None:
-        kv.update(read_kv_file(config_path))
+        try:
+            kv.update(read_kv_file(config_path))
+        except OSError as exc:  # a flag that names no readable file is a usage error
+            raise errors.ConfigError(f"--config {config_path}: {exc.strerror}") from None
     if lr is not None:
         kv["train.lr"] = repr(lr)
     if epochs is not None:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingClassDir
+from .errors import DataError
 from .model import CLASS_NAMES
 from .preprocess import GrayImage, prepare, read_pgm, write_pgm
 from .train import Dataset
@@ -42,7 +42,7 @@ def ingest(root) -> DatasetManifest:
     for name in CLASS_NAMES:
         class_dir = root / name
         if not class_dir.is_dir():
-            raise MissingClassDir(f"{root}: missing class directory {name!r}")
+            raise DataError(f"{root}: missing class directory {name!r}")
         files[name] = sorted(p for p in class_dir.iterdir() if p.is_file())
     return DatasetManifest(root, files)
 

@@ -16,13 +16,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import (
-    BatchTooSmall,
-    ChannelMismatch,
-    DimMismatch,
-    KernelTooLarge,
-    SpatialMismatch,
-)
+from .errors import DataError
 from .tensor import Tensor, apply_op
 
 Mode = Literal["train", "infer"]
@@ -45,9 +39,9 @@ class Conv2DParams:
 
     def __post_init__(self):
         if self.weights.data.ndim != 4:
-            raise DimMismatch(f"conv weights must be rank 4, got {self.weights.shape}")
+            raise ValueError(f"conv weights must be rank 4, got {self.weights.shape}")
         if self.bias.shape != (self.weights.shape[0],):
-            raise DimMismatch("bias length must equal the output channel count")
+            raise ValueError("bias length must equal the output channel count")
         if self.stride < 1 or self.dilation < 1:
             raise ValueError("stride and dilation must be >= 1")
         if min(self.weights.shape[2:]) < 1:
@@ -114,7 +108,7 @@ def _axis_geometry(size: int, kernel: int, stride: int, dilation: int,
         before = total // 2  # extra padding goes after (bottom/right)
         return before, total - before, out
     if eff > size:
-        raise KernelTooLarge(f"kernel extent {eff} exceeds input size {size}")
+        raise ValueError(f"kernel extent {eff} exceeds input size {size}")
     return 0, 0, (size - eff) // stride + 1
 
 
@@ -157,7 +151,7 @@ def conv2d(x: Tensor, p: Conv2DParams) -> Tensor:
     n, c, h, w = x.shape
     out_ch, in_ch, kh, kw = p.weights.shape
     if c != in_ch:
-        raise ChannelMismatch(f"conv2d: input has {c} channels, weights expect {in_ch}")
+        raise ValueError(f"conv2d: input has {c} channels, weights expect {in_ch}")
     col, geometry = _im2col(x.data, kh, kw, p.stride, p.dilation, p.padding)
     oh, ow = col.shape[4:]
     # copies unless the view already is a matrix, as for 1x1 stride-1 kernels
@@ -202,11 +196,9 @@ def separable_conv2d(x: Tensor, depthwise: Tensor, pointwise: Tensor,
     """Depthwise convolution per channel followed by a 1x1 pointwise mix."""
     c = x.shape[1]
     if depthwise.shape[0] != c or depthwise.shape[1] != 1:
-        raise ChannelMismatch(
-            f"depthwise kernel {depthwise.shape} does not match {c} input channels")
+        raise ValueError(f"depthwise kernel {depthwise.shape} does not match {c} input channels")
     if pointwise.shape[1] != c or pointwise.shape[2:] != (1, 1):
-        raise ChannelMismatch(
-            f"pointwise kernel {pointwise.shape} does not match {c} input channels")
+        raise ValueError(f"pointwise kernel {pointwise.shape} does not match {c} input channels")
     mixed = _depthwise_conv2d(x, depthwise)
     return conv2d(mixed, Conv2DParams(pointwise, bias, stride=1, padding="same"))
 
@@ -239,13 +231,13 @@ def batchnorm(x: Tensor, p: BatchNormParams, mode: Mode) -> Tensor:
     """
     n, c, h, w = x.shape
     if p.gamma.shape != (c,):
-        raise ChannelMismatch(f"batchnorm: {c} channels vs parameters {p.gamma.shape}")
+        raise ValueError(f"batchnorm: {c} channels vs parameters {p.gamma.shape}")
     gamma, beta = p.gamma, p.beta
     g4 = gamma.data.reshape(1, c, 1, 1)
     m = n * h * w
     if mode == "train":
         if m < 2:
-            raise BatchTooSmall("train-mode batchnorm needs >= 2 values per channel")
+            raise DataError("train-mode batchnorm needs >= 2 values per channel")
         mu = x.data.mean(axis=(0, 2, 3))
         var = x.data.var(axis=(0, 2, 3))  # biased
         mom = np.float32(BN_MOMENTUM)
@@ -283,9 +275,9 @@ def relu(x: Tensor) -> Tensor:
 def concat_depth(*xs: Tensor) -> Tensor:
     """Stack feature maps along the channel axis, in argument order."""
     if any(x.data.ndim != 4 for x in xs):
-        raise SpatialMismatch("concat_depth expects rank-4 tensors")
+        raise ValueError("concat_depth expects rank-4 tensors")
     if len({(x.shape[0], *x.shape[2:]) for x in xs}) > 1:
-        raise SpatialMismatch(f"concat_depth: {' vs '.join(str(x.shape) for x in xs)}")
+        raise ValueError(f"concat_depth: {' vs '.join(str(x.shape) for x in xs)}")
     bounds = np.cumsum([x.shape[1] for x in xs[:-1]])
     return apply_op("concat_depth", xs, np.concatenate([x.data for x in xs], axis=1),
                     lambda g: np.split(g, bounds, axis=1))
@@ -294,9 +286,9 @@ def concat_depth(*xs: Tensor) -> Tensor:
 def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map: x @ w + b for x [N, D], w [D, U], b [U]."""
     if x.data.ndim != 2 or w.data.ndim != 2:
-        raise DimMismatch(f"dense expects rank-2 input and weights, got {x.shape}, {w.shape}")
+        raise ValueError(f"dense expects rank-2 input and weights, got {x.shape}, {w.shape}")
     if x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
-        raise DimMismatch(f"dense: {x.shape} @ {w.shape} + {b.shape}")
+        raise ValueError(f"dense: {x.shape} @ {w.shape} + {b.shape}")
     out = x.data @ w.data + b.data
     x_data, w_data = x.data, w.data
     return apply_op("dense", (x, w, b), out,
@@ -312,7 +304,7 @@ def flatten(x: Tensor) -> Tensor:
 def softmax(logits: Tensor) -> Tensor:
     """Row-wise softmax, max-shifted for stability; rows sum to 1."""
     if logits.data.ndim != 2:
-        raise DimMismatch(f"softmax expects [N, K], got {logits.shape}")
+        raise ValueError(f"softmax expects [N, K], got {logits.shape}")
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=1, keepdims=True)

@@ -26,14 +26,7 @@ from .blocks import (
     self_attention,
     spatial_attention,
 )
-from .errors import (
-    BadMagic,
-    ConfigError,
-    ShapeConflict,
-    ShapeMismatch,
-    TruncatedFile,
-    VersionMismatch,
-)
+from .errors import ConfigError, DataError
 from .layers import (
     BatchNormParams,
     Conv2DParams,
@@ -325,7 +318,7 @@ def forward(model: ModelGraph, batch: Tensor, mode: Mode,
     of class probabilities. An infer forward records no tape."""
     s = model.config.input_size
     if batch.data.ndim != 4 or batch.shape[1] != 1 or batch.shape[2:] != (s, s):
-        raise ShapeMismatch(f"expected [N, 1, {s}, {s}], got {list(batch.shape)}")
+        raise DataError(f"expected [N, 1, {s}, {s}], got {list(batch.shape)}")
     x = batch
     with no_tape() if mode == "infer" else contextlib.nullcontext():
         for _, layer in model.layers:
@@ -363,10 +356,10 @@ def load_checkpoint(path, cfg: ModelConfig) -> ModelGraph:
     with open(path, "rb") as fh:
         view = _Reader(fh, path)
         if view.take(4) != CHECKPOINT_MAGIC:
-            raise BadMagic(f"{path}: expected magic {CHECKPOINT_MAGIC!r}")
+            raise DataError(f"{path}: expected magic {CHECKPOINT_MAGIC!r}")
         version = view.uint("<I")
         if version != CHECKPOINT_VERSION:
-            raise VersionMismatch(f"{path}: version {version}, supported {CHECKPOINT_VERSION}")
+            raise DataError(f"{path}: version {version}, supported {CHECKPOINT_VERSION}")
         count = view.uint("<I")
 
         # the weights stay uninitialised until read, so any failure below
@@ -378,18 +371,18 @@ def load_checkpoint(path, cfg: ModelConfig) -> ModelGraph:
             name = view.take(view.uint("<H")).decode("utf-8", "backslashreplace")
             dims = tuple(view.uint("<I") for _ in range(view.uint("<B")))
             if i == len(expected):
-                raise ShapeConflict(f"{path}: unexpected tensor {name!r} after the "
-                                    f"model's last, {expected[-1][0]!r}")
+                raise DataError(f"{path}: unexpected tensor {name!r} after the "
+                                f"model's last, {expected[-1][0]!r}")
             want, target = expected[i]
             if (name, dims) != (want, target.shape):
-                raise ShapeConflict(f"{path}: tensor {i} is {name!r} {dims}, "
-                                    f"model expects {want!r} {target.shape}")
+                raise DataError(f"{path}: tensor {i} is {name!r} {dims}, "
+                                f"model expects {want!r} {target.shape}")
             view.fill(target.data)
         if fh.read(1):
-            raise ShapeConflict(f"{path}: unexpected data after byte {fh.tell() - 1}")
+            raise DataError(f"{path}: unexpected data after byte {fh.tell() - 1}")
     if count < len(expected):
-        raise ShapeConflict(f"{path}: ends after {count} tensors, "
-                            f"model expects {expected[count][0]!r} next")
+        raise DataError(f"{path}: ends after {count} tensors, "
+                        f"model expects {expected[count][0]!r} next")
     return model
 
 
@@ -404,7 +397,7 @@ class _Reader:
     def _check(self, got: int, n: int) -> None:
         if got < n:
             end = self.fh.tell()
-            raise TruncatedFile(f"{self.path}: ended at byte {end}, needed {end - got + n}")
+            raise DataError(f"{self.path}: ended at byte {end}, needed {end - got + n}")
 
     def take(self, n: int) -> bytes:
         chunk = self.fh.read(n)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvenWindow, UnreadableImage
+from .errors import ConfigError, DataError
 
 INTENSITY_LEVELS = 256
 DEFAULT_WINDOW = 3
@@ -56,9 +56,9 @@ def histogram_equalize(img: GrayImage) -> GrayImage:
 
 
 def check_window(window: int) -> None:
-    """Raise ``EvenWindow`` unless ``window`` is odd and positive."""
+    """Raise ``ConfigError`` unless ``window`` is odd and positive."""
     if window < 1 or window % 2 == 0:
-        raise EvenWindow(f"window must be odd and positive, got {window}")
+        raise ConfigError(f"window must be odd and positive, got {window}")
 
 
 def median_filter(img: GrayImage, window: int = DEFAULT_WINDOW) -> GrayImage:
@@ -117,7 +117,7 @@ def read_pgm(path) -> GrayImage:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise UnreadableImage(f"{path}: {exc}") from exc
+        raise DataError(f"{path}: {exc}") from exc
     try:
         magic, rest = _next_token(raw, 0)
         if magic != b"P5":
@@ -132,7 +132,7 @@ def read_pgm(path) -> GrayImage:
         if len(data) != width * height:
             raise ValueError("truncated pixel data")
     except (ValueError, IndexError) as exc:
-        raise UnreadableImage(f"{path}: not a valid 8-bit binary PGM ({exc})") from exc
+        raise DataError(f"{path}: not a valid 8-bit binary PGM ({exc})") from exc
     pixels = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
     return GrayImage(pixels.copy())
 

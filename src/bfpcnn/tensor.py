@@ -17,8 +17,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimMismatch, NoTape, NotScalar, ZeroDim
-
 
 _recording = True  # False inside no_tape()
 
@@ -56,7 +54,7 @@ class TapeNode:
 def _positive_dims(shape: Sequence[int]) -> list[int]:
     dims = [int(d) for d in shape]
     if any(d < 1 for d in dims):
-        raise ZeroDim(f"invalid shape {dims}: every dimension must be >= 1")
+        raise ValueError(f"invalid shape {dims}: every dimension must be >= 1")
     return dims
 
 
@@ -73,8 +71,7 @@ class Tensor:
         else:
             arr = np.array(fill, dtype=np.float32).reshape(-1)
             if arr.size != count:
-                raise DimMismatch(
-                    f"shape {dims} needs {count} values, got {arr.size}")
+                raise ValueError(f"shape {dims} needs {count} values, got {arr.size}")
             data = arr.reshape(dims)
         self.data: np.ndarray = data
         self.grad: np.ndarray | None = None
@@ -101,19 +98,19 @@ class Tensor:
 
     def item(self) -> float:
         if self.data.size != 1:
-            raise NotScalar(f"item() on tensor of shape {self.shape}")
+            raise ValueError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Tensor") -> "Tensor":
         if self.shape != other.shape:
-            raise DimMismatch(f"add: {self.shape} vs {other.shape}")
+            raise ValueError(f"add: {self.shape} vs {other.shape}")
         return apply_op("add", (self, other), self.data + other.data, lambda g: (g, g))
 
     def __mul__(self, other: "Tensor") -> "Tensor":
         if self.shape != other.shape:
-            raise DimMismatch(f"mul: {self.shape} vs {other.shape}")
+            raise ValueError(f"mul: {self.shape} vs {other.shape}")
         a_data, b_data = self.data, other.data
         return apply_op("mul", (self, other), a_data * b_data,
                         lambda g: (g * b_data, g * a_data))
@@ -127,7 +124,7 @@ class Tensor:
     def reshape(self, shape: Sequence[int]) -> "Tensor":
         dims = [int(d) for d in shape]
         if math.prod(dims) != self.size:
-            raise DimMismatch(f"reshape {list(self.shape)} -> {dims}")
+            raise ValueError(f"reshape {list(self.shape)} -> {dims}")
         old_shape = self.shape
         return apply_op("reshape", (self,), self.data.reshape(dims),
                         lambda g: (g.reshape(old_shape),))
@@ -143,9 +140,9 @@ class Tensor:
     def backward(self) -> None:
         """Add this scalar's gradient to the ``.grad`` of every leaf it depends on."""
         if self.data.size != 1:
-            raise NotScalar(f"backward() needs a scalar, got shape {self.shape}")
+            raise ValueError(f"backward() needs a scalar, got shape {self.shape}")
         if not self.requires_grad:
-            raise NoTape("backward() on a value with no recorded computation")
+            raise ValueError("backward() on a value with no recorded computation")
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -190,9 +187,9 @@ def apply_op(op_kind: str, inputs: Sequence[Tensor], data: np.ndarray,
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two rank-2 tensors."""
     if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimMismatch(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
+        raise ValueError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
-        raise DimMismatch(f"matmul: inner dimensions {a.shape} x {b.shape}")
+        raise ValueError(f"matmul: inner dimensions {a.shape} x {b.shape}")
     a_data, b_data = a.data, b.data
     return apply_op("matmul", (a, b), a_data @ b_data,
                     lambda g: (g @ b_data.T, a_data.T @ g))

@@ -7,13 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BatchTooSmall,
-    EmptyClass,
-    EmptyMatrix,
-    LabelOutOfRange,
-    LengthMismatch,
-)
+from .errors import DataError
 from .model import CLASS_NAMES, ModelGraph, forward, pooled_side
 from .tensor import Tensor, apply_op
 
@@ -57,7 +51,7 @@ class Dataset:
         self.images = np.asarray(self.images, dtype=np.float32)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if len(self.images) != len(self.labels):
-            raise LengthMismatch("images and labels differ in length")
+            raise DataError("images and labels differ in length")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -68,9 +62,9 @@ def cross_entropy_loss(probs: Tensor, labels) -> Tensor:
     labels = np.asarray(labels, dtype=np.int64)
     n, k = probs.shape
     if labels.shape != (n,):
-        raise LengthMismatch(f"{n} rows of probabilities, {labels.shape} labels")
+        raise DataError(f"{n} rows of probabilities, {labels.shape} labels")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise LabelOutOfRange(f"labels must lie in [0, {k})")
+        raise DataError(f"labels must lie in [0, {k})")
     picked = probs.data[np.arange(n), labels]
     clamped = np.maximum(picked, np.float32(LOSS_CLAMP))
     value = np.float32(-np.log(clamped.astype(np.float64)).mean())
@@ -146,10 +140,10 @@ def confusion_matrix(preds, labels, class_count: int) -> ConfusionMatrix:
     preds = np.asarray(preds, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if preds.shape != labels.shape:
-        raise LengthMismatch(f"{preds.shape} predictions vs {labels.shape} labels")
+        raise DataError(f"{preds.shape} predictions vs {labels.shape} labels")
     for name, vals in (("predictions", preds), ("labels", labels)):
         if vals.size and (vals.min() < 0 or vals.max() >= class_count):
-            raise LabelOutOfRange(f"{name} must lie in [0, {class_count})")
+            raise DataError(f"{name} must lie in [0, {class_count})")
     counts = np.zeros((class_count, class_count), dtype=np.int64)
     np.add.at(counts, (labels, preds), 1)
     return ConfusionMatrix(counts)
@@ -189,7 +183,7 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
     counts = cm.counts
     total = counts.sum()
     if total == 0:
-        raise EmptyMatrix("no samples tallied")
+        raise DataError("no samples tallied")
     tp = np.diag(counts).astype(np.float64)
     fp = counts.sum(axis=0) - tp
     fn = counts.sum(axis=1) - tp
@@ -221,8 +215,7 @@ def stratified_split(labels: np.ndarray, val_fraction: float,
     for cls in np.unique(labels):
         members = np.flatnonzero(labels == cls)
         if len(members) < 2:
-            raise EmptyClass(f"class {cls} has {len(members)} sample(s); "
-                             "need one per split")
+            raise DataError(f"class {cls} has {len(members)} sample(s); need one per split")
         members = rng.permutation(members)
         n_val = min(max(int(round(len(members) * val_fraction)), 1), len(members) - 1)
         val_idx.append(members[:n_val])
@@ -258,15 +251,15 @@ def train(model: ModelGraph, data: Dataset, cfg: TrainConfig) -> MetricsReport:
     both splits in infer mode (running statistics), so an external evaluation
     of the same samples reproduces them."""
     if len(data) == 0:
-        raise EmptyClass("dataset is empty")
+        raise DataError("dataset is empty")
     split_rng, shuffle_rng, dropout_rng = [
         np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)]
     train_idx, val_idx = stratified_split(data.labels, cfg.val_fraction, split_rng)
     smallest = len(train_idx) % cfg.batch_size or cfg.batch_size
     side = pooled_side(model.config.input_size)
     if cfg.epochs and smallest * side * side < 2:
-        raise BatchTooSmall("train-mode batchnorm needs >= 2 values per channel: "
-                            f"the last batch of {smallest} is {side}x{side} at every batchnorm")
+        raise DataError("train-mode batchnorm needs >= 2 values per channel: "
+                        f"the last batch of {smallest} is {side}x{side} at every batchnorm")
 
     params = model.parameters()
     state = OptimizerState.for_params(params, cfg)

@@ -25,7 +25,7 @@ from bfpcnn.blocks import (
 )
 from bfpcnn.cli import main, resolve_run_spec
 from bfpcnn.data import gen_synthetic, load_dataset
-from bfpcnn.errors import BadMagic, ShapeConflict
+from bfpcnn.errors import DataError
 from bfpcnn.layers import (
     BatchNormParams,
     Conv2DParams,
@@ -418,9 +418,10 @@ def test_criterion_9_serialization(tmp_path):
     raw[:4] = b"XXXX"
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(bytes(raw))
-    with pytest.raises(BadMagic):
+    with pytest.raises(DataError, match="expected magic b'BFPC'"):
         load_checkpoint(bad, tiny_config())
-    with pytest.raises(ShapeConflict):
+    with pytest.raises(DataError, match=r"is 'stem.weight' \(2, 1, 7, 7\), "
+                                        r"model expects 'stem.weight' \(3, 1, 7, 7\)"):
         load_checkpoint(path, tiny_config(stem_filters=3))
     announce(9, bitwise, "checkpoint round-trip is bitwise on a fixed batch; "
                          "corrupted magic and shape conflicts raise")

@@ -17,7 +17,6 @@ from bfpcnn.blocks import (
     self_attention,
     spatial_attention,
 )
-from bfpcnn.errors import ShapeChange
 from bfpcnn.layers import BatchNormParams, Conv2DParams, batchnorm, conv2d, maxpool2d, relu
 from bfpcnn.tensor import Tensor, no_tape
 
@@ -398,7 +397,7 @@ class TestResidualBlock:
         params = ResidualBlockParams.create(rng, 2)
         params.conv2 = Conv2DParams.create(rng, 2, 3, 3)  # widens the path
         params.bn2 = BatchNormParams.create(3)
-        with pytest.raises(ShapeChange):
+        with pytest.raises(ValueError, match="add: "):
             residual_block(Tensor([1, 2, 4, 4], 1.0), params, "infer")
 
     def test_gradients(self):

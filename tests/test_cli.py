@@ -11,7 +11,7 @@ import pytest
 
 from bfpcnn.cli import main, print_prediction, resolve_run_spec
 from bfpcnn.data import CLASS_NAMES, gen_synthetic, ingest, load_dataset
-from bfpcnn.errors import MissingClassDir, UnreadableImage
+from bfpcnn.errors import DataError
 from bfpcnn.layers import softmax
 from bfpcnn.preprocess import GrayImage, read_pgm, write_pgm
 from bfpcnn.tensor import Tensor
@@ -79,14 +79,14 @@ class TestIngest:
     def test_missing_class_dir(self, tmp_path):
         gen_synthetic(tmp_path / "d", per_class=1, size=8, seed=0)
         shutil.rmtree(tmp_path / "d" / "ModerateDemented")
-        with pytest.raises(MissingClassDir):
+        with pytest.raises(DataError, match="missing class directory 'ModerateDemented'"):
             ingest(tmp_path / "d")
 
     def test_truncated_image_named(self, tmp_path):
         gen_synthetic(tmp_path / "d", per_class=1, size=8, seed=0)
         bad = tmp_path / "d" / "NonDemented" / "broken.pgm"
         bad.write_bytes(b"P5\n8 8\n255\nxx")
-        with pytest.raises(UnreadableImage) as err:
+        with pytest.raises(DataError, match="not a valid 8-bit binary PGM") as err:
             load_dataset(ingest(tmp_path / "d"), target=8)
         assert "broken.pgm" in str(err.value)
 
@@ -439,6 +439,33 @@ class TestExitCodes:
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {cfg}: not UTF-8 text (byte 17)\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("name, reason", [
+        ("nope.cfg", "No such file or directory"),
+        ("a_dir", "Is a directory"),
+    ], ids=["missing", "directory"])
+    def test_unreadable_train_config_is_config_error(self, tmp_path, capsys, name, reason):
+        (tmp_path / "a_dir").mkdir()
+        cfg = tmp_path / name
+        out = tmp_path / "run"
+        # absent data would exit 2, so exit 1 shows no data was read
+        assert main(["train", "--data", str(tmp_path / "absent"), "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --config {cfg}: {reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_run_without_config_is_data_error(self, tmp_path, capsys, command):
+        run = run_tiny_training(tmp_path, epochs="1")
+        (run / "config.txt").unlink()
+        capsys.readouterr()  # drop training output
+        image = next((tmp_path / "data" / "NonDemented").glob("*.pgm"))
+        target = (["--data", str(tmp_path / "data"), "--out", str(tmp_path / "eval")]
+                  if command == "eval" else ["--image", str(image)])
+        assert main([command, "--ckpt", str(run / "model.ckpt"), *target]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "config.txt" in err and err.count("\n") == 1
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_non_utf8_run_config_is_config_error(self, tmp_path, capsys, command):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bfpcnn.errors import EvenWindow, UnreadableImage
+from bfpcnn.errors import ConfigError, DataError
 from bfpcnn.preprocess import (
     GrayImage,
     histogram_equalize,
@@ -138,7 +138,7 @@ class TestMedianFilter:
         assert np.array_equal(median_filter(img, 5).pixels, img.pixels)
 
     def test_even_window_rejected(self):
-        with pytest.raises(EvenWindow):
+        with pytest.raises(ConfigError, match="window must be odd and positive, got 4"):
             median_filter(GrayImage(np.zeros((3, 3), np.uint8)), 4)
 
     @pytest.mark.parametrize("seed,window", [(s, w) for s in range(15) for w in (3, 5)])
@@ -267,15 +267,16 @@ class TestPgmIO:
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P5\n4 4\n255\n\x00\x00")
-        with pytest.raises(UnreadableImage):
+        with pytest.raises(DataError,
+                           match=r"not a valid 8-bit binary PGM \(truncated pixel data\)"):
             read_pgm(path)
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P6\n1 1\n255\n\x00")
-        with pytest.raises(UnreadableImage):
+        with pytest.raises(DataError, match=r"not a valid 8-bit binary PGM \(bad magic\)"):
             read_pgm(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(UnreadableImage):
+        with pytest.raises(DataError, match="nope.pgm: .*No such file or directory"):
             read_pgm(tmp_path / "nope.pgm")

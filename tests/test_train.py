@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 
 from bfpcnn.blocks import InceptionConfig, SpatialAttentionConfig
-from bfpcnn.errors import (
-    BatchTooSmall,
-    EmptyClass,
-    EmptyMatrix,
-    LabelOutOfRange,
-    LengthMismatch,
-)
+from bfpcnn.errors import DataError
 from bfpcnn.model import ModelConfig, build_model
 from bfpcnn.tensor import Tensor
 from bfpcnn.train import (
@@ -48,13 +42,13 @@ class TestCrossEntropy:
         assert abs(loss - (-math.log(1e-12))) < 1e-2  # ~27.63, finite
 
     def test_label_out_of_range(self):
-        with pytest.raises(LabelOutOfRange):
+        with pytest.raises(DataError, match=r"labels must lie in \[0, 4\)"):
             cross_entropy_loss(Tensor([1, 4], 0.25), [4])
-        with pytest.raises(LabelOutOfRange):
+        with pytest.raises(DataError, match=r"labels must lie in \[0, 4\)"):
             cross_entropy_loss(Tensor([1, 4], 0.25), [-1])
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DataError, match="rows of probabilities"):
             cross_entropy_loss(Tensor([2, 4], 0.25), [0])
 
     def test_gradient_matches_analytic(self):
@@ -152,11 +146,11 @@ class TestConfusionMatrix:
         assert np.all(norm[~populated] == 0.0)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DataError, match="predictions vs"):
             confusion_matrix([0, 1], [0], 2)
 
     def test_range_checked(self):
-        with pytest.raises(LabelOutOfRange):
+        with pytest.raises(DataError, match=r"predictions must lie in \[0, 2\)"):
             confusion_matrix([0, 5], [0, 1], 2)
 
 
@@ -179,7 +173,7 @@ class TestComputeMetrics:
         assert m.precision[2] == m.recall[2] == m.f1[2] == 0.0
 
     def test_empty_matrix(self):
-        with pytest.raises(EmptyMatrix):
+        with pytest.raises(DataError, match="no samples tallied"):
             compute_metrics(ConfusionMatrix(np.zeros((3, 3), np.int64)))
 
     @pytest.mark.parametrize("seed", range(5))
@@ -233,7 +227,7 @@ class TestSplit:
         assert set(labels[val_idx]) == {0, 1, 2}
 
     def test_single_sample_class_rejected(self):
-        with pytest.raises(EmptyClass):
+        with pytest.raises(DataError, match=r"has 1 sample\(s\); need one per split"):
             stratified_split(np.array([0, 0, 1]), 0.2, np.random.default_rng(3))
 
     def test_deterministic(self):
@@ -342,11 +336,11 @@ class TestTrainLoop:
         model = build_model(replace(toy_model().config, input_size=5))
         cfg = TrainConfig(epochs=0, batch_size=15, val_fraction=0.25)
         assert train(model, toy_dataset(size=5), cfg).history == []
-        with pytest.raises(BatchTooSmall):
+        with pytest.raises(DataError, match="the last batch of 1 is 1x1"):
             train(model, toy_dataset(size=5), replace(cfg, epochs=1))
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(EmptyClass):
+        with pytest.raises(DataError, match="dataset is empty"):
             train(toy_model(), Dataset(np.zeros((0, 1, 16, 16), np.float32),
                                        np.zeros(0, np.int64)),
                   TrainConfig(epochs=1))
