@@ -179,8 +179,6 @@ def self_attention(x: Tensor, p: SelfAttentionParams, mode: Mode,
     row-stochastic matrix in canonical order.
     """
     n, c, h, w = x.shape
-    if p.wq.shape[0] != c:
-        raise ValueError(f"attention projections expect {p.wq.shape[0]} channels, got {c}")
     t = h * w
     seq = x.reshape([n, c, t]).transpose(0, 2, 1)  # [N, T, C]
 

@@ -38,9 +38,7 @@ class Conv2DParams:
     dilation: int = 1
 
     def __post_init__(self):
-        if self.weights.data.ndim != 4:
-            raise ValueError(f"conv weights must be rank 4, got {self.weights.shape}")
-        if self.bias.shape != (self.weights.shape[0],):
+        if self.bias.shape != self.weights.shape[:1]:
             raise ValueError("bias length must equal the output channel count")
         if self.stride < 1 or self.dilation < 1:
             raise ValueError("stride and dilation must be >= 1")
@@ -148,10 +146,8 @@ def _col2im(dcol: np.ndarray, geometry) -> np.ndarray:
 
 def conv2d(x: Tensor, p: Conv2DParams) -> Tensor:
     """Cross-correlation with bias: out[f, i, j] = sum_m,n x[c, i+m, j+n] * w[f, c, m, n] + b[f]."""
-    n, c, h, w = x.shape
+    n = x.shape[0]
     out_ch, in_ch, kh, kw = p.weights.shape
-    if c != in_ch:
-        raise ValueError(f"conv2d: input has {c} channels, weights expect {in_ch}")
     col, geometry = _im2col(x.data, kh, kw, p.stride, p.dilation, p.padding)
     oh, ow = col.shape[4:]
     # copies unless the view already is a matrix, as for 1x1 stride-1 kernels
@@ -195,7 +191,7 @@ def separable_conv2d(x: Tensor, depthwise: Tensor, pointwise: Tensor,
                      bias: Tensor) -> Tensor:
     """Depthwise convolution per channel followed by a 1x1 pointwise mix."""
     c = x.shape[1]
-    if depthwise.shape[0] != c or depthwise.shape[1] != 1:
+    if depthwise.shape[0] != c:  # einsum would broadcast a 1-channel kernel
         raise ValueError(f"depthwise kernel {depthwise.shape} does not match {c} input channels")
     if pointwise.shape[1] != c or pointwise.shape[2:] != (1, 1):
         raise ValueError(f"pointwise kernel {pointwise.shape} does not match {c} input channels")
@@ -276,8 +272,6 @@ def concat_depth(*xs: Tensor) -> Tensor:
     """Stack feature maps along the channel axis, in argument order."""
     if any(x.data.ndim != 4 for x in xs):
         raise ValueError("concat_depth expects rank-4 tensors")
-    if len({(x.shape[0], *x.shape[2:]) for x in xs}) > 1:
-        raise ValueError(f"concat_depth: {' vs '.join(str(x.shape) for x in xs)}")
     bounds = np.cumsum([x.shape[1] for x in xs[:-1]])
     return apply_op("concat_depth", xs, np.concatenate([x.data for x in xs], axis=1),
                     lambda g: np.split(g, bounds, axis=1))

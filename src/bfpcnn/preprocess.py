@@ -81,8 +81,6 @@ def resize(img: GrayImage, target: int) -> GrayImage:
     Output pixel (i, j) reads source (floor(i*h/t), floor(j*w/t)); integer
     arithmetic keeps the floor exact for every index.
     """
-    if target < 1:
-        raise ValueError("target must be positive")
     rows = (np.arange(target) * img.height) // target
     cols = (np.arange(target) * img.width) // target
     return GrayImage(img.pixels[np.ix_(rows, cols)])

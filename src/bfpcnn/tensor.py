@@ -12,7 +12,6 @@ no op records a node, so nothing outlives the values a caller keeps.
 from __future__ import annotations
 
 import contextlib
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,14 +64,10 @@ class Tensor:
 
     def __init__(self, shape: Sequence[int], fill=0.0, requires_grad: bool = False):
         dims = _positive_dims(shape)
-        count = math.prod(dims)
         if np.isscalar(fill):
             data = np.full(dims, fill, dtype=np.float32)
         else:
-            arr = np.array(fill, dtype=np.float32).reshape(-1)
-            if arr.size != count:
-                raise ValueError(f"shape {dims} needs {count} values, got {arr.size}")
-            data = arr.reshape(dims)
+            data = np.array(fill, dtype=np.float32, order="C").reshape(dims)
         self.data: np.ndarray = data
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
@@ -97,9 +92,7 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        if self.data.size != 1:
-            raise ValueError(f"item() on tensor of shape {self.shape}")
-        return float(self.data.reshape(-1)[0])
+        return self.data.item()
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -123,8 +116,6 @@ class Tensor:
 
     def reshape(self, shape: Sequence[int]) -> "Tensor":
         dims = [int(d) for d in shape]
-        if math.prod(dims) != self.size:
-            raise ValueError(f"reshape {list(self.shape)} -> {dims}")
         old_shape = self.shape
         return apply_op("reshape", (self,), self.data.reshape(dims),
                         lambda g: (g.reshape(old_shape),))
@@ -188,8 +179,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two rank-2 tensors."""
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul: inner dimensions {a.shape} x {b.shape}")
     a_data, b_data = a.data, b.data
     return apply_op("matmul", (a, b), a_data @ b_data,
                     lambda g: (g @ b_data.T, a_data.T @ g))

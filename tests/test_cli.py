@@ -425,10 +425,15 @@ class TestExitCodes:
         assert main(["train", "--data", str(tmp_path / "absent"),
                      "--out", str(tmp_path / "run")]) == 2
 
-    def test_data_error_leaves_no_run_dir(self, tmp_path):
-        out = tmp_path / "run"
-        assert main(["eval", "--ckpt", str(tmp_path / "no.ckpt"),
-                     "--data", str(tmp_path / "absent"), "--out", str(out)]) == 2
+    def test_data_error_leaves_no_run_dir(self, tmp_path, capsys):
+        run = run_tiny_training(tmp_path, epochs="1")
+        capsys.readouterr()  # drop training output
+        absent = tmp_path / "absent"
+        out = tmp_path / "eval"
+        assert main(["eval", "--ckpt", str(run / "model.ckpt"),
+                     "--data", str(absent), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {absent}: missing class directory 'MildDemented'\n"
         assert not out.exists()
 
     def test_non_utf8_train_config_is_config_error(self, tmp_path, capsys):
@@ -521,6 +526,52 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("lines, flags, message", [
+        ("preprocess.full = maybe\n", [],
+         "bad configuration value: expected a boolean, got 'maybe'"),
+        ("model.dropout = 1.5\n", [],
+         "bad model configuration value: dropout rates must lie in [0, 1)"),
+        ("model.inception1 = 0,1,1,1,1,1\n", [],
+         "bad model configuration value: all inception filter counts must be >= 1"),
+        ("model.inception1 = 1,2,3\n", [],
+         "bad model configuration value: inception config needs 6 filter counts, got '1,2,3'"),
+        ("train.val_fraction = 1.5\n", [],
+         "bad configuration value: val_fraction must lie in (0, 1)"),
+        ("", ["--batch", "0"],
+         "bad configuration value: batch_size must be >= 1 and epochs >= 0"),
+        ("", ["--epochs", "-1"],
+         "bad configuration value: batch_size must be >= 1 and epochs >= 0"),
+    ], ids=["full-maybe", "dropout", "inception-zero", "inception-three", "val-fraction",
+            "batch-0", "epochs-negative"])
+    def test_bad_train_setting_is_config_error(self, tmp_path, capsys, lines, flags,
+                                               message):
+        # absent data would exit 2, so exit 1 shows no data was read
+        cfg = write_tiny_config(tmp_path / "tiny.cfg", lines)
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(tmp_path / "absent"), "--config", str(cfg),
+                     *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw, reason", [
+        (b"P5\n2 2\n65535\n" + bytes(8), "unsupported header"),
+        (b"P5\n0 2\n255\n", "unsupported header"),
+        (b"P5\n2 2\n", "missing header token"),
+    ], ids=["16-bit", "zero-width", "no-maxval"])
+    def test_bad_pgm_header_is_data_error(self, tmp_path, capsys, raw, reason):
+        data = tmp_path / "data"
+        gen_synthetic(data, per_class=2, size=16, seed=1)
+        bad = data / "NonDemented" / "NonDemented_0001.pgm"
+        bad.write_bytes(raw)
+        # a tiny model keeps the run cheap, should the header ever be accepted
+        cfg = write_tiny_config(tmp_path / "tiny.cfg")
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {bad}: not a valid 8-bit binary PGM ({reason})\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "tiny.cfg"]
 
     def test_even_window_in_config_is_config_error(self, tmp_path):
         gen_synthetic(tmp_path / "data", per_class=2, size=16, seed=1)

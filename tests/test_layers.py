@@ -1,9 +1,12 @@
 """Layer primitives: examples, invariants, and finite-difference gradients."""
 
+import re
+
 import numpy as np
 import pytest
 
 from bfpcnn import layers
+from bfpcnn.data import gen_synthetic
 from bfpcnn.errors import DataError
 from bfpcnn.layers import (
     BatchNormParams,
@@ -19,7 +22,8 @@ from bfpcnn.layers import (
     separable_conv2d,
     softmax,
 )
-from bfpcnn.tensor import Tensor
+from bfpcnn.tensor import Tensor, matmul
+from bfpcnn.train import Dataset
 
 from util import (
     check_grad,
@@ -60,7 +64,7 @@ class TestConv2d:
     def test_channel_mismatch(self):
         x = Tensor([1, 2, 4, 4], 1.0)
         p = conv_params(np.ones((1, 3, 3, 3)), [0.0])
-        with pytest.raises(ValueError, match="conv2d: input has 2 channels, weights expect 3"):
+        with pytest.raises(ValueError, match=r"array of size 72 into shape \(1,27,4\)"):
             conv2d(x, p)
 
     def test_kernel_too_large(self):
@@ -212,9 +216,10 @@ class TestSeparableConv2d:
 
     def test_channel_mismatch(self):
         x = Tensor([1, 3, 4, 4], 1.0)
-        with pytest.raises(ValueError, match=r"depthwise kernel \(2, 1, 3, 3\) does not match 3"):
-            separable_conv2d(x, Tensor([2, 1, 3, 3], 1.0),
-                             Tensor([2, 2, 1, 1], 1.0), Tensor([2], 0.0))
+        # unchecked, einsum would apply the one kernel to every channel
+        with pytest.raises(ValueError, match=r"depthwise kernel \(1, 1, 3, 3\) does not match 3"):
+            separable_conv2d(x, Tensor([1, 1, 3, 3], 1.0),
+                             Tensor([2, 3, 1, 1], 1.0), Tensor([2], 0.0))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_gradients(self, seed):
@@ -443,7 +448,7 @@ class TestConcatDepth:
         assert np.array_equal(out.data[:, 2], y.data[:, 0])
 
     def test_spatial_mismatch(self):
-        with pytest.raises(ValueError, match=r"concat_depth: \(1, 1, 3, 3\) vs \(1, 1, 4, 3\)"):
+        with pytest.raises(ValueError, match="dimension 2, the array at index 0 has size 3 "):
             concat_depth(Tensor([1, 1, 3, 3], 1.0), Tensor([1, 1, 4, 3], 1.0))
 
     def test_associative_bitwise(self):
@@ -472,7 +477,7 @@ class TestConcatDepth:
         assert np.array_equal(xs[0].grad, weights[:, :1])
         assert np.array_equal(xs[1].grad, weights[:, 1:4])
         assert np.array_equal(xs[2].grad, weights[:, 4:])
-        with pytest.raises(ValueError, match=r"concat_depth: \(2, 1, 2, 3\) vs "):
+        with pytest.raises(ValueError, match="dimension 0, the array at index 0 has size 2 "):
             concat_depth(*xs, Tensor([1, 1, 2, 3], 1.0))
 
 
@@ -607,3 +612,41 @@ class TestDropout:
         xv = smooth_values(rng, (4, 4))
         check_grad(lambda t: dropout(t, 0.5, "train", np.random.default_rng(99)).sum(),
                    Tensor([4, 4], xv.copy()), tol=1e-3)
+
+
+class TestApiMisuse:
+    """Each refusal that numpy would not make by itself: unchecked, these
+    misuses run on to a result or fail some other way."""
+
+    @pytest.mark.parametrize("misuse, error, message", [
+        (lambda tmp: Conv2DParams(Tensor([2, 1, 3, 3], 1.0), Tensor([3], 0.0)),
+         ValueError, "bias length must equal the output channel count"),
+        (lambda tmp: Conv2DParams(Tensor([1, 1, 3, 3], 1.0), Tensor([1], 0.0), stride=0),
+         ValueError, "stride and dilation must be >= 1"),
+        (lambda tmp: Conv2DParams(Tensor([1, 1, 3, 3], 1.0), Tensor([1], 0.0), dilation=0),
+         ValueError, "stride and dilation must be >= 1"),
+        (lambda tmp: Conv2DParams.create(None, 1, 1, 0),
+         ValueError, "kernel dims must be >= 1"),
+        (lambda tmp: separable_conv2d(Tensor([1, 3, 4, 4], 1.0), Tensor([3, 1, 3, 3], 1.0),
+                                      Tensor([2, 3, 3, 3], 1.0), Tensor([2], 0.0)),
+         ValueError, "pointwise kernel (2, 3, 3, 3) does not match 3 input channels"),
+        (lambda tmp: maxpool2d(Tensor([1, 1, 4, 4], 1.0), 2, 0),
+         ValueError, "k and stride must be >= 1"),
+        (lambda tmp: concat_depth(Tensor([1, 2, 3], 1.0), Tensor([1, 2, 3], 1.0)),
+         ValueError, "concat_depth expects rank-4 tensors"),
+        (lambda tmp: dense(Tensor([1, 3, 3], 1.0), Tensor([3, 2], 1.0), Tensor([2], 0.0)),
+         ValueError, "dense expects rank-2 input and weights, got (1, 3, 3), (3, 2)"),
+        (lambda tmp: softmax(Tensor([2, 3, 4], 1.0)),
+         ValueError, "softmax expects [N, K], got (2, 3, 4)"),
+        (lambda tmp: matmul(Tensor([2, 3, 4], 1.0), Tensor([4, 5], 1.0)),
+         ValueError, "matmul needs rank-2 operands, got (2, 3, 4) and (4, 5)"),
+        (lambda tmp: gen_synthetic(tmp / "data", 0, 8, 0),
+         ValueError, "per_class must be >= 1"),
+        (lambda tmp: Dataset(np.zeros((2, 1, 4, 4)), np.zeros(3)),
+         DataError, "images and labels differ in length"),
+    ], ids=["conv-bias", "conv-stride", "conv-dilation", "conv-kernel", "pointwise",
+            "pool-stride", "concat-rank", "dense-rank", "softmax-rank", "matmul-rank",
+            "gen-per-class", "dataset-length"])
+    def test_refused_with_its_message(self, tmp_path, misuse, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            misuse(tmp_path)
