@@ -24,29 +24,12 @@ from .layers import (
 from .tensor import Tensor, apply_op, matmul, records
 
 
-@dataclass(frozen=True)
-class InceptionConfig:
-    """Filter counts for the four parallel paths: 1x1 / 1x1->3x3 / 1x1->5x5 /
-    pool->1x1. Output depth is f11 + f22 + f32 + f41."""
-
-    f11: int
-    f21: int
-    f22: int
-    f31: int
-    f32: int
-    f41: int
-
-    def __post_init__(self):
-        if min(self.f11, self.f21, self.f22, self.f31, self.f32, self.f41) < 1:
-            raise ValueError("all inception filter counts must be >= 1")
-
-    @property
-    def out_channels(self) -> int:
-        return self.f11 + self.f22 + self.f32 + self.f41
-
-
 @dataclass
 class InceptionParams:
+    """The four parallel paths' convolutions, from the filter counts
+    ``f = (f11, f21, f22, f31, f32, f41)``: 1x1 (f11) / 1x1->3x3 (f21, f22) /
+    1x1->5x5 (f31, f32) / pool->1x1 (f41)."""
+
     p1: Conv2DParams
     p2a: Conv2DParams
     p2b: Conv2DParams
@@ -56,15 +39,22 @@ class InceptionParams:
 
     @classmethod
     def create(cls, rng: np.random.Generator | None, in_ch: int,
-               cfg: InceptionConfig) -> "InceptionParams":
+               f: tuple[int, ...]) -> "InceptionParams":
+        f11, f21, f22, f31, f32, f41 = f
         return cls(
-            p1=Conv2DParams.create(rng, in_ch, cfg.f11, 1),
-            p2a=Conv2DParams.create(rng, in_ch, cfg.f21, 1),
-            p2b=Conv2DParams.create(rng, cfg.f21, cfg.f22, 3),
-            p3a=Conv2DParams.create(rng, in_ch, cfg.f31, 1),
-            p3b=Conv2DParams.create(rng, cfg.f31, cfg.f32, 5),
-            p4=Conv2DParams.create(rng, in_ch, cfg.f41, 1),
+            p1=Conv2DParams.create(rng, in_ch, f11, 1),
+            p2a=Conv2DParams.create(rng, in_ch, f21, 1),
+            p2b=Conv2DParams.create(rng, f21, f22, 3),
+            p3a=Conv2DParams.create(rng, in_ch, f31, 1),
+            p3b=Conv2DParams.create(rng, f31, f32, 5),
+            p4=Conv2DParams.create(rng, in_ch, f41, 1),
         )
+
+
+def inception_channels(f: tuple[int, ...]) -> int:
+    """Output depth of an inception block with filter counts ``f``."""
+    f11, _, f22, _, f32, f41 = f
+    return f11 + f22 + f32 + f41
 
 
 def inception_block(x: Tensor, params: InceptionParams) -> Tensor:
@@ -182,10 +172,8 @@ def self_attention(x: Tensor, p: SelfAttentionParams, mode: Mode,
     t = h * w
     seq = x.reshape([n, c, t]).transpose(0, 2, 1)  # [N, T, C]
 
-    idx = np.empty((n, t), dtype=np.int64)
-    for i in range(n):
-        # lexicographic by feature vector; first feature is the primary key
-        idx[i] = np.lexsort(seq.data[i].T[::-1])
+    # per sample, lexicographic by feature vector; first feature is the primary key
+    idx = np.lexsort(seq.data.transpose(2, 0, 1)[::-1])
     canon = _gather_positions(seq, idx)
 
     flat = canon.reshape([n * t, c])
@@ -206,33 +194,22 @@ def self_attention(x: Tensor, p: SelfAttentionParams, mode: Mode,
     return out
 
 
-@dataclass(frozen=True)
-class SpatialAttentionConfig:
-    """One dilated-convolution branch per dilation rate, summed elementwise."""
-
-    filters: int | None = None  # None: match the input channel count
-    kernel: int = 3
-    dilations: tuple[int, ...] = (1, 2)
-
-    def __post_init__(self):
-        if not self.dilations:
-            raise ValueError("need at least one dilation rate")
-        if min(self.kernel, *self.dilations,
-               1 if self.filters is None else self.filters) < 1:
-            raise ValueError("spatial kernel, filters and dilations must be >= 1")
-
-
 @dataclass
 class SpatialAttentionParams:
+    """One dilated-convolution branch per dilation rate, summed elementwise;
+    ``filters`` None matches the input channel count."""
+
     branches: list[tuple[Conv2DParams, BatchNormParams]]
 
     @classmethod
-    def create(cls, rng: np.random.Generator | None, in_ch: int,
-               cfg: SpatialAttentionConfig) -> "SpatialAttentionParams":
-        filters = in_ch if cfg.filters is None else cfg.filters
+    def create(cls, rng: np.random.Generator | None, in_ch: int, filters: int | None,
+               kernel: int, dilations: tuple[int, ...]) -> "SpatialAttentionParams":
+        if not dilations:
+            raise ValueError("need at least one dilation rate")
+        filters = in_ch if filters is None else filters
         branches = []
-        for rate in cfg.dilations:
-            conv = Conv2DParams.create(rng, in_ch, filters, cfg.kernel,
+        for rate in dilations:
+            conv = Conv2DParams.create(rng, in_ch, filters, kernel,
                                        padding="same", dilation=rate)
             branches.append((conv, BatchNormParams.create(filters)))
         return cls(branches)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError
 from .model import CLASS_NAMES
-from .preprocess import GrayImage, prepare, read_pgm, write_pgm
+from .preprocess import DEFAULT_WINDOW, GrayImage, prepare, read_pgm, write_pgm
 from .train import Dataset
 
 
@@ -82,7 +82,7 @@ def gen_synthetic(out, per_class: int, size: int, seed: int) -> DatasetManifest:
     return ingest(out)
 
 
-def load_dataset(manifest: DatasetManifest, target: int, window: int = 3,
+def load_dataset(manifest: DatasetManifest, target: int, window: int = DEFAULT_WINDOW,
                  full_pipeline: bool = False) -> Dataset:
     """Stack every file into a model-ready batch.
 

@@ -8,20 +8,19 @@ import contextlib
 import os
 import struct
 import sys
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .blocks import (
-    InceptionConfig,
     InceptionParams,
     ResidualBlockParams,
     SelfAttentionParams,
-    SpatialAttentionConfig,
     SpatialAttentionParams,
     inception_block,
+    inception_channels,
     residual_block,
     self_attention,
     spatial_attention,
@@ -53,58 +52,53 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class ModelConfig:
-    """Widths and knobs for the layer stack. The default geometry follows the
-    common inception-style widths; every width is sweepable."""
+    """Widths and knobs for the layer stack; each field ``<name>`` is the
+    config key ``model.<name>``. The default geometry follows the common
+    inception-style widths; every width is sweepable."""
 
     input_size: int = 224
     stem_filters: int = 64
     stem_kernel: int = 7
     refine_filters: tuple[int, ...] = (64, 192)
-    inception1: InceptionConfig = field(
-        default_factory=lambda: InceptionConfig(64, 96, 128, 16, 32, 32))
-    inception2: InceptionConfig = field(
-        default_factory=lambda: InceptionConfig(128, 128, 192, 32, 96, 64))
-    sep_block_filters: tuple[int, ...] = (128, 256)
-    spatial_attn: SpatialAttentionConfig = field(default_factory=SpatialAttentionConfig)
+    # per inception block, the six counts of blocks.InceptionParams
+    inception1: tuple[int, ...] = (64, 96, 128, 16, 32, 32)
+    inception2: tuple[int, ...] = (128, 128, 192, 32, 96, 64)
+    sep_blocks: tuple[int, ...] = (128, 256)
+    spatial_filters: int | None = None  # None: match the input channel count
+    spatial_kernel: int = 3
+    spatial_dilations: tuple[int, ...] = (1, 2)
     dense_units: int = 512
-    dropout_rate: float = 0.5
+    dropout: float = 0.5
     attn_dropout: float = 0.1
     # None only inside load_checkpoint: build_model then draws no weights,
     # because the checkpoint fills every tensor
     seed: int | None = 0
 
     def __post_init__(self):
+        if not self.spatial_dilations:
+            raise ValueError("need at least one dilation rate")
+        if min(self.spatial_kernel, *self.spatial_dilations,
+               1 if self.spatial_filters is None else self.spatial_filters) < 1:
+            raise ValueError("spatial kernel, filters and dilations must be >= 1")
+        for counts in (self.inception1, self.inception2):
+            if len(counts) != 6:
+                raise ValueError(f"inception config needs 6 filter counts, "
+                                 f"got {','.join(map(str, counts))!r}")
+            if min(counts) < 1:
+                raise ValueError("all inception filter counts must be >= 1")
         pooled_side(self.input_size)
         if min(self.stem_filters, self.stem_kernel, self.dense_units,
-               *self.refine_filters, *self.sep_block_filters) < 1:
+               *self.refine_filters, *self.sep_blocks) < 1:
             raise ValueError("every width and kernel must be >= 1")
-        if not 0.0 <= self.dropout_rate < 1.0 or not 0.0 <= self.attn_dropout < 1.0:
+        if not 0.0 <= self.dropout < 1.0 or not 0.0 <= self.attn_dropout < 1.0:
             raise ValueError("dropout rates must lie in [0, 1)")
         if self.seed is not None and self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_kv(self) -> dict[str, str]:
-        def ints(vals):
-            return ",".join(str(v) for v in vals)
-
-        sa = self.spatial_attn
-        return {
-            "model.input_size": str(self.input_size),
-            "model.class_count": str(len(CLASS_NAMES)),
-            "model.stem_filters": str(self.stem_filters),
-            "model.stem_kernel": str(self.stem_kernel),
-            "model.refine_filters": ints(self.refine_filters),
-            "model.inception1": ints(astuple(self.inception1)),
-            "model.inception2": ints(astuple(self.inception2)),
-            "model.sep_blocks": ints(self.sep_block_filters),
-            "model.spatial_filters": "auto" if sa.filters is None else str(sa.filters),
-            "model.spatial_kernel": str(sa.kernel),
-            "model.spatial_dilations": ints(sa.dilations),
-            "model.dense_units": str(self.dense_units),
-            "model.dropout": repr(self.dropout_rate),
-            "model.attn_dropout": repr(self.attn_dropout),
-            "model.seed": str(self.seed),
-        }
+        kv = {f"model.{f.name}": _format(getattr(self, f.name)) for f in fields(self)}
+        kv["model.class_count"] = str(len(CLASS_NAMES))
+        return kv
 
     @classmethod
     def from_kv(cls, kv: dict[str, str]) -> "ModelConfig":
@@ -113,45 +107,29 @@ class ModelConfig:
             if int(kv.get("model.class_count", len(CLASS_NAMES))) != len(CLASS_NAMES):
                 raise ConfigError(f"model.class_count must be {len(CLASS_NAMES)}, "
                                   f"one per class in {CLASS_NAMES}")
-            dilations = _parse_ints(kv.get("model.spatial_dilations",
-                                           ",".join(map(str, base.spatial_attn.dilations))))
-            filters_raw = kv.get("model.spatial_filters", "auto")
-            spatial = SpatialAttentionConfig(
-                filters=None if filters_raw == "auto" else int(filters_raw),
-                kernel=int(kv.get("model.spatial_kernel", base.spatial_attn.kernel)),
-                dilations=tuple(dilations),
-            )
-            return cls(
-                input_size=int(kv.get("model.input_size", base.input_size)),
-                stem_filters=int(kv.get("model.stem_filters", base.stem_filters)),
-                stem_kernel=int(kv.get("model.stem_kernel", base.stem_kernel)),
-                refine_filters=tuple(_parse_ints(kv.get(
-                    "model.refine_filters", ",".join(map(str, base.refine_filters))))),
-                inception1=_inception_from(kv.get("model.inception1"), base.inception1),
-                inception2=_inception_from(kv.get("model.inception2"), base.inception2),
-                sep_block_filters=tuple(_parse_ints(kv.get(
-                    "model.sep_blocks", ",".join(map(str, base.sep_block_filters))))),
-                spatial_attn=spatial,
-                dense_units=int(kv.get("model.dense_units", base.dense_units)),
-                dropout_rate=float(kv.get("model.dropout", base.dropout_rate)),
-                attn_dropout=float(kv.get("model.attn_dropout", base.attn_dropout)),
-                seed=int(kv.get("model.seed", base.seed)),
-            )
+            parsed = {f.name: _parse(kv[f"model.{f.name}"], getattr(base, f.name))
+                      for f in fields(cls) if f"model.{f.name}" in kv}
+            return replace(base, **parsed)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad model configuration value: {exc}") from exc
 
 
-def _inception_from(raw: str | None, default: InceptionConfig) -> InceptionConfig:
-    if raw is None:
-        return default
-    vals = _parse_ints(raw)
-    if len(vals) != 6:
-        raise ValueError(f"inception config needs 6 filter counts, got {raw!r}")
-    return InceptionConfig(*vals)
+def _format(value) -> str:
+    """A config field's value as ``config.txt`` holds it."""
+    if value is None:
+        return "auto"
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value)
 
 
-def _parse_ints(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.split(",") if tok.strip() != ""]
+def _parse(raw: str, default):
+    """``raw`` as a value of ``default``'s type; ``_format`` inverted."""
+    if default is None:
+        return None if raw == "auto" else int(raw)
+    if isinstance(default, tuple):
+        return tuple(int(tok) for tok in raw.split(",") if tok.strip() != "")
+    return type(default)(raw)
 
 
 # -- layers -------------------------------------------------------------------
@@ -263,14 +241,14 @@ def build_model(cfg: ModelConfig) -> ModelGraph:
         c = f
 
     layers.append(("inception1", _inception(InceptionParams.create(rng, c, cfg.inception1))))
-    c = cfg.inception1.out_channels
+    c = inception_channels(cfg.inception1)
 
     attn = SelfAttentionParams.create(rng, c, cfg.attn_dropout)
     layers.append(("attention",
                    Layer(lambda x, mode, rng: x + self_attention(x, attn, mode, rng=rng),
                          [(name, getattr(attn, name)) for name in ("wq", "wk", "wv", "wo")])))
 
-    for i, f in enumerate(cfg.sep_block_filters, start=1):
+    for i, f in enumerate(cfg.sep_blocks, start=1):
         depthwise = he_uniform(rng, (c, 1, 3, 3), 9)
         pointwise = he_uniform(rng, (f, c, 1, 1), c)
         bias = Tensor([f], 0.0, requires_grad=True)
@@ -279,16 +257,17 @@ def build_model(cfg: ModelConfig) -> ModelGraph:
                                             BatchNormParams.create(f), shortcut)))
         c = f
 
-    spatial = SpatialAttentionParams.create(rng, c, cfg.spatial_attn)
+    spatial = SpatialAttentionParams.create(rng, c, cfg.spatial_filters, cfg.spatial_kernel,
+                                            cfg.spatial_dilations)
     layers.append(("spatial",
                    Layer(lambda x, mode, rng: spatial_attention(x, spatial, mode),
                          [entry for i, (conv, bn) in enumerate(spatial.branches, start=1)
                           for entry in _conv_tensors(conv, f"branch{i}.")
                           + _bn_tensors(bn, f"branch{i}.bn.")])))
-    c = c if cfg.spatial_attn.filters is None else cfg.spatial_attn.filters
+    c = c if cfg.spatial_filters is None else cfg.spatial_filters
 
     layers.append(("inception2", _inception(InceptionParams.create(rng, c, cfg.inception2))))
-    c = cfg.inception2.out_channels
+    c = inception_channels(cfg.inception2)
 
     res = ResidualBlockParams.create(rng, c)
     layers.append(("residual",
@@ -301,7 +280,7 @@ def build_model(cfg: ModelConfig) -> ModelGraph:
     layers.append(("head", _dense(he_uniform(rng, (flat, cfg.dense_units), flat),
                                   Tensor([cfg.dense_units], 0.0, requires_grad=True), True)))
     layers.append(("head_dropout",
-                   Layer(lambda x, mode, rng: dropout(x, cfg.dropout_rate, mode, rng))))
+                   Layer(lambda x, mode, rng: dropout(x, cfg.dropout, mode, rng))))
     classes = len(CLASS_NAMES)
     layers.append(("classify", _dense(he_uniform(rng, (cfg.dense_units, classes),
                                                  cfg.dense_units),

@@ -11,11 +11,9 @@ import numpy as np
 import pytest
 
 from bfpcnn.blocks import (
-    InceptionConfig,
     InceptionParams,
     ResidualBlockParams,
     SelfAttentionParams,
-    SpatialAttentionConfig,
     SpatialAttentionParams,
     _attend,
     inception_block,
@@ -73,11 +71,11 @@ def tiny_config(**overrides) -> ModelConfig:
         input_size=16,
         stem_filters=2,
         refine_filters=(2,),
-        inception1=InceptionConfig(1, 1, 1, 1, 1, 1),
-        inception2=InceptionConfig(1, 1, 1, 1, 1, 1),
-        sep_block_filters=(4,),
+        inception1=(1, 1, 1, 1, 1, 1),
+        inception2=(1, 1, 1, 1, 1, 1),
+        sep_blocks=(4,),
         dense_units=4,
-        dropout_rate=0.0,
+        dropout=0.0,
         attn_dropout=0.0,
         seed=3,
     )
@@ -91,12 +89,12 @@ def reduced_config() -> ModelConfig:
         input_size=64,
         stem_filters=8,
         refine_filters=(8,),
-        inception1=InceptionConfig(4, 4, 4, 4, 4, 4),
-        inception2=InceptionConfig(4, 4, 4, 4, 4, 4),
-        sep_block_filters=(16,),
-        spatial_attn=SpatialAttentionConfig(filters=None, kernel=3, dilations=(1, 2)),
+        inception1=(4, 4, 4, 4, 4, 4),
+        inception2=(4, 4, 4, 4, 4, 4),
+        sep_blocks=(16,),
+        spatial_filters=None, spatial_kernel=3, spatial_dilations=(1, 2),
         dense_units=64,
-        dropout_rate=0.25,
+        dropout=0.25,
         attn_dropout=0.0,
         seed=7,
     )
@@ -189,8 +187,7 @@ def test_criterion_2_gradient_correctness():
     for seed in range(4):
         rng = np.random.default_rng(20_000 + seed)
 
-        icfg = InceptionConfig(1, 1, 1, 1, 1, 1)
-        ip = InceptionParams.create(rng, 2, icfg)
+        ip = InceptionParams.create(rng, 2, (1, 1, 1, 1, 1, 1))
         op_case(lambda t: inception_block(t, ip).sum(),
                 smooth_values(rng, (1, 2, 4, 4)), tol=COMPOSITE_TOL)
 
@@ -198,8 +195,7 @@ def test_criterion_2_gradient_correctness():
         op_case(lambda t: (t + self_attention(t, ap, "infer")).sum(),
                 smooth_values(rng, (1, 2, 2, 2)), tol=COMPOSITE_TOL)
 
-        scfg = SpatialAttentionConfig(filters=2, kernel=3, dilations=(1, 2))
-        sp = SpatialAttentionParams.create(rng, 2, scfg)
+        sp = SpatialAttentionParams.create(rng, 2, 2, 3, (1, 2))
         op_case(lambda t: spatial_attention(t, sp, "train").sum(),
                 smooth_values(rng, (1, 2, 4, 4)), tol=COMPOSITE_TOL)
 
@@ -273,7 +269,7 @@ def test_criterion_3_preprocessing_oracles():
 def test_criterion_4_concatenation_bitwise():
     for seed in range(5):
         rng = np.random.default_rng(40_000 + seed)
-        cfg = InceptionConfig(2, 3, 2, 2, 3, 2)
+        cfg = (2, 3, 2, 2, 3, 2)
         params = InceptionParams.create(rng, 3, cfg)
         xv = smooth_values(rng, (2, 3, 5, 5))
         out = inception_block(Tensor([2, 3, 5, 5], xv.copy()), params).data

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from bfpcnn.blocks import (
-    InceptionConfig,
     InceptionParams,
     ResidualBlockParams,
     SelfAttentionParams,
-    SpatialAttentionConfig,
     SpatialAttentionParams,
     _attend,
     inception_block,
+    inception_channels,
     residual_block,
     self_attention,
     spatial_attention,
@@ -31,16 +30,16 @@ def zero_conv(params: Conv2DParams) -> None:
 class TestInceptionBlock:
     def test_output_depth(self):
         rng = np.random.default_rng(1)
-        cfg = InceptionConfig(64, 48, 64, 16, 32, 32)
+        cfg = (64, 48, 64, 16, 32, 32)
         x = Tensor([1, 3, 8, 8], smooth_values(rng, (1, 3, 8, 8)))
         params = InceptionParams.create(rng, 3, cfg)
         out = inception_block(x, params)
         assert out.shape == (1, 192, 8, 8)
-        assert cfg.out_channels == 192
+        assert inception_channels(cfg) == 192
 
     def test_zero_parameters_give_zero(self):
         rng = np.random.default_rng(2)
-        cfg = InceptionConfig(2, 2, 2, 2, 2, 2)
+        cfg = (2, 2, 2, 2, 2, 2)
         params = InceptionParams.create(rng, 2, cfg)
         for p in (params.p1, params.p2a, params.p2b, params.p3a, params.p3b, params.p4):
             zero_conv(p)
@@ -49,7 +48,7 @@ class TestInceptionBlock:
 
     def test_spatial_dims_preserved(self):
         rng = np.random.default_rng(3)
-        cfg = InceptionConfig(1, 1, 1, 1, 1, 1)
+        cfg = (1, 1, 1, 1, 1, 1)
         params = InceptionParams.create(rng, 4, cfg)
         x = Tensor([2, 4, 8, 8], smooth_values(rng, (2, 4, 8, 8)))
         assert inception_block(x, params).shape == (2, 4, 8, 8)
@@ -57,7 +56,7 @@ class TestInceptionBlock:
     @pytest.mark.parametrize("seed", range(5))
     def test_channels_match_standalone_paths_bitwise(self, seed):
         rng = np.random.default_rng(100 + seed)
-        cfg = InceptionConfig(2, 3, 2, 2, 3, 2)
+        cfg = (2, 3, 2, 2, 3, 2)
         params = InceptionParams.create(rng, 3, cfg)
         xv = smooth_values(rng, (2, 3, 6, 6))
         out = inception_block(Tensor([2, 3, 6, 6], xv.copy()), params).data
@@ -76,7 +75,7 @@ class TestInceptionBlock:
     def test_one_concat_node(self):
         # the four paths join in one concatenation, not a chain of pairs
         rng = np.random.default_rng(5)
-        params = InceptionParams.create(rng, 2, InceptionConfig(1, 1, 1, 1, 1, 1))
+        params = InceptionParams.create(rng, 2, (1, 1, 1, 1, 1, 1))
         out = inception_block(Tensor([1, 2, 4, 4], smooth_values(rng, (1, 2, 4, 4))), params)
         stack, seen, kinds = [out], set(), []
         while stack:
@@ -91,7 +90,7 @@ class TestInceptionBlock:
 
     def test_gradients(self):
         rng = np.random.default_rng(4)
-        cfg = InceptionConfig(1, 1, 1, 1, 1, 1)
+        cfg = (1, 1, 1, 1, 1, 1)
         params = InceptionParams.create(rng, 2, cfg)
         xv = smooth_values(rng, (1, 2, 4, 4))
 
@@ -307,8 +306,7 @@ class TestFusedAttention:
 class TestSpatialAttention:
     def test_single_branch_equals_conv_bn(self):
         rng = np.random.default_rng(20)
-        cfg = SpatialAttentionConfig(filters=3, kernel=3, dilations=(1,))
-        params = SpatialAttentionParams.create(rng, 2, cfg)
+        params = SpatialAttentionParams.create(rng, 2, 3, 3, (1,))
         xv = smooth_values(rng, (2, 2, 4, 4))
         out = spatial_attention(Tensor([2, 2, 4, 4], xv.copy()), params, "infer").data
         conv_p, bn_p = params.branches[0]
@@ -317,8 +315,7 @@ class TestSpatialAttention:
 
     def test_constant_branches_sum(self):
         rng = np.random.default_rng(21)
-        cfg = SpatialAttentionConfig(filters=2, kernel=3, dilations=(1, 2))
-        params = SpatialAttentionParams.create(rng, 2, cfg)
+        params = SpatialAttentionParams.create(rng, 2, 2, 3, (1, 2))
         for _, bn in params.branches:
             bn.gamma.data[:] = 0.0
             bn.beta.data[:] = 1.0
@@ -328,16 +325,14 @@ class TestSpatialAttention:
 
     def test_dims_preserved(self):
         rng = np.random.default_rng(22)
-        cfg = SpatialAttentionConfig()
-        params = SpatialAttentionParams.create(rng, 3, cfg)
+        params = SpatialAttentionParams.create(rng, 3, None, 3, (1, 2))
         x = Tensor([2, 3, 5, 5], smooth_values(rng, (2, 3, 5, 5)))
         assert spatial_attention(x, params, "infer").shape == (2, 3, 5, 5)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_equals_sum_of_single_branches(self, d):
         rng = np.random.default_rng(23 + d)
-        cfg = SpatialAttentionConfig(filters=2, kernel=3, dilations=tuple(range(1, d + 1)))
-        params = SpatialAttentionParams.create(rng, 2, cfg)
+        params = SpatialAttentionParams.create(rng, 2, 2, 3, tuple(range(1, d + 1)))
         xv = smooth_values(rng, (1, 2, 4, 4))
         combined = spatial_attention(Tensor([1, 2, 4, 4], xv.copy()), params, "infer").data
         total = None
@@ -349,8 +344,7 @@ class TestSpatialAttention:
 
     def test_gradients(self):
         rng = np.random.default_rng(25)
-        cfg = SpatialAttentionConfig(filters=2, kernel=3, dilations=(1, 2))
-        params = SpatialAttentionParams.create(rng, 2, cfg)
+        params = SpatialAttentionParams.create(rng, 2, 2, 3, (1, 2))
         xv = smooth_values(rng, (1, 2, 4, 4))
 
         def f(t):

@@ -196,6 +196,35 @@ class TestRunSpec:
         assert spec.train.batch_size == 128
         assert spec.train.optimizer == "adam"
 
+    def test_default_config_echo(self):
+        # every key and value of a default config.txt: a renamed config field
+        # would otherwise rename its key silently
+        assert resolve_run_spec(None, None, None, None, None).to_kv() == {
+            "model.attn_dropout": "0.1",
+            "model.class_count": "4",
+            "model.dense_units": "512",
+            "model.dropout": "0.5",
+            "model.inception1": "64,96,128,16,32,32",
+            "model.inception2": "128,128,192,32,96,64",
+            "model.input_size": "224",
+            "model.refine_filters": "64,192",
+            "model.seed": "0",
+            "model.sep_blocks": "128,256",
+            "model.spatial_dilations": "1,2",
+            "model.spatial_filters": "auto",
+            "model.spatial_kernel": "3",
+            "model.stem_filters": "64",
+            "model.stem_kernel": "7",
+            "preprocess.full": "false",
+            "preprocess.window": "3",
+            "train.batch": "128",
+            "train.epochs": "100",
+            "train.lr": "0.001",
+            "train.optimizer": "adam",
+            "train.seed": "0",
+            "train.val_fraction": "0.2",
+        }
+
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("train.lr = 0.5\ntrain.epochs = 7\n")

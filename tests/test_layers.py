@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bfpcnn import layers
+from bfpcnn.blocks import SpatialAttentionParams
 from bfpcnn.data import gen_synthetic
 from bfpcnn.errors import DataError
 from bfpcnn.layers import (
@@ -644,9 +645,11 @@ class TestApiMisuse:
          ValueError, "per_class must be >= 1"),
         (lambda tmp: Dataset(np.zeros((2, 1, 4, 4)), np.zeros(3)),
          DataError, "images and labels differ in length"),
+        (lambda tmp: SpatialAttentionParams.create(None, 2, None, 3, ()),
+         ValueError, "need at least one dilation rate"),
     ], ids=["conv-bias", "conv-stride", "conv-dilation", "conv-kernel", "pointwise",
             "pool-stride", "concat-rank", "dense-rank", "softmax-rank", "matmul-rank",
-            "gen-per-class", "dataset-length"])
+            "gen-per-class", "dataset-length", "spatial-no-dilation"])
     def test_refused_with_its_message(self, tmp_path, misuse, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             misuse(tmp_path)

@@ -4,15 +4,14 @@ import hashlib
 import re
 import tracemalloc
 from collections import Counter
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from bfpcnn.blocks import (
-    InceptionConfig,
     SelfAttentionParams,
-    SpatialAttentionConfig,
     self_attention,
 )
 from bfpcnn.errors import ConfigError, DataError
@@ -36,12 +35,12 @@ def tiny_config(seed=0, **overrides) -> ModelConfig:
         input_size=16,
         stem_filters=2,
         refine_filters=(2,),
-        inception1=InceptionConfig(1, 1, 1, 1, 1, 1),
-        inception2=InceptionConfig(1, 1, 1, 1, 1, 1),
-        sep_block_filters=(4,),
-        spatial_attn=SpatialAttentionConfig(filters=None, kernel=3, dilations=(1, 2)),
+        inception1=(1, 1, 1, 1, 1, 1),
+        inception2=(1, 1, 1, 1, 1, 1),
+        sep_blocks=(4,),
+        spatial_filters=None, spatial_kernel=3, spatial_dilations=(1, 2),
         dense_units=4,
-        dropout_rate=0.0,
+        dropout=0.0,
         attn_dropout=0.0,
         seed=seed,
     )
@@ -62,28 +61,29 @@ def expected_param_count(cfg: ModelConfig) -> int:
         total += f * c * 9 + f
         c = f
 
-    def inception(c_in, icfg):
-        count = icfg.f11 * c_in + icfg.f11
-        count += icfg.f21 * c_in + icfg.f21
-        count += icfg.f22 * icfg.f21 * 9 + icfg.f22
-        count += icfg.f31 * c_in + icfg.f31
-        count += icfg.f32 * icfg.f31 * 25 + icfg.f32
-        count += icfg.f41 * c_in + icfg.f41
-        return count, icfg.f11 + icfg.f22 + icfg.f32 + icfg.f41
+    def inception(c_in, counts):
+        f11, f21, f22, f31, f32, f41 = counts
+        count = f11 * c_in + f11
+        count += f21 * c_in + f21
+        count += f22 * f21 * 9 + f22
+        count += f31 * c_in + f31
+        count += f32 * f31 * 25 + f32
+        count += f41 * c_in + f41
+        return count, f11 + f22 + f32 + f41
 
     added, c = inception(c, cfg.inception1)
     total += added
     total += 4 * c * c  # attention projections at d_k == channels
 
-    for f in cfg.sep_block_filters:
+    for f in cfg.sep_blocks:
         total += c * 9 + f * c + f + 2 * f
         if f != c:
             total += f * c + f  # 1x1 shortcut
         c = f
 
-    filters = cfg.spatial_attn.filters or c
-    for _ in cfg.spatial_attn.dilations:
-        total += filters * c * cfg.spatial_attn.kernel ** 2 + filters + 2 * filters
+    filters = cfg.spatial_filters or c
+    for _ in cfg.spatial_dilations:
+        total += filters * c * cfg.spatial_kernel ** 2 + filters + 2 * filters
     c = filters
 
     added, c = inception(c, cfg.inception2)
@@ -136,18 +136,19 @@ class TestBuild:
 
     @pytest.mark.parametrize("override", [
         {"stem_filters": 0}, {"stem_kernel": 0}, {"dense_units": 0},
-        {"refine_filters": (2, 0)}, {"sep_block_filters": (-4,)},
+        {"refine_filters": (2, 0)}, {"sep_blocks": (-4,)},
     ])
     def test_nonpositive_width_rejected(self, override):
         with pytest.raises(ValueError):
             tiny_config(**override)
 
     @pytest.mark.parametrize("fields", [
-        {"kernel": 0}, {"filters": 0}, {"dilations": (1, 0)}, {"dilations": ()},
+        {"spatial_kernel": 0}, {"spatial_filters": 0}, {"spatial_dilations": (1, 0)},
+        {"spatial_dilations": ()},
     ])
     def test_nonpositive_spatial_value_rejected(self, fields):
         with pytest.raises(ValueError):
-            SpatialAttentionConfig(**fields)
+            tiny_config(**fields)
 
     def test_batch_shape_checked(self):
         model = build_model(tiny_config())
@@ -172,9 +173,9 @@ class TestParamCount:
             input_size=32,
             stem_filters=4,
             refine_filters=(4,),
-            inception1=InceptionConfig(4, 4, 4, 4, 4, 4),
-            inception2=InceptionConfig(4, 4, 4, 4, 4, 4),
-            sep_block_filters=(8,),
+            inception1=(4, 4, 4, 4, 4, 4),
+            inception2=(4, 4, 4, 4, 4, 4),
+            sep_blocks=(8,),
             dense_units=8,
         )
         model = build_model(cfg)
@@ -206,7 +207,7 @@ class TestForwardProperties:
         assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-6)
 
     def test_train_mode_dropout_needs_rng(self):
-        model = build_model(tiny_config(dropout_rate=0.5))
+        model = build_model(tiny_config(dropout=0.5))
         with pytest.raises(ValueError):
             forward(model, Tensor([2, 1, 16, 16], 0.5), "train")
 
@@ -224,7 +225,7 @@ class TestForwardProperties:
         assert np.array_equal(out.data, expected.data)
 
     def test_train_mode_runs_with_rng(self):
-        model = build_model(tiny_config(dropout_rate=0.5, attn_dropout=0.1))
+        model = build_model(tiny_config(dropout=0.5, attn_dropout=0.1))
         out = forward(model, Tensor([2, 1, 16, 16], 0.5), "train",
                       rng=np.random.default_rng(3))
         assert out.shape == (2, 4)
@@ -368,12 +369,12 @@ class TestTapeContract:
         return [p.grad for p in model.parameters()]
 
     def test_parameter_grads_are_float32_of_the_parameter_shape(self):
-        model = build_model(tiny_config(seed=6, dropout_rate=0.3, attn_dropout=0.2))
+        model = build_model(tiny_config(seed=6, dropout=0.3, attn_dropout=0.2))
         for p, g in zip(model.parameters(), self._train_step_grads(model, 1)):
             assert g is not None and g.dtype == np.float32 and g.shape == p.shape
 
     def test_closures_never_write_into_their_gradient(self, monkeypatch):
-        cfg = tiny_config(seed=7, dropout_rate=0.3, attn_dropout=0.2)
+        cfg = tiny_config(seed=7, dropout=0.3, attn_dropout=0.2)
         expected = self._train_step_grads(build_model(cfg), 2)
         node_init = TapeNode.__init__
 
@@ -622,6 +623,19 @@ class TestConfigSerialization:
         cfg = tiny_config(seed=17, dense_units=6)
         back = ModelConfig.from_kv(cfg.to_kv())
         assert back == cfg
+
+    def test_kv_roundtrip_every_field_set(self):
+        cfg = ModelConfig(
+            input_size=33, stem_filters=3, stem_kernel=5, refine_filters=(4, 6, 2),
+            inception1=(1, 2, 3, 4, 5, 6), inception2=(6, 5, 4, 3, 2, 1),
+            sep_blocks=(7,), spatial_filters=5, spatial_kernel=5,
+            spatial_dilations=(3, 1, 2), dense_units=9, dropout=0.125,
+            attn_dropout=0.3, seed=12)
+        default = ModelConfig()
+        assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))
+        for spatial_filters in (5, None):  # written as a number, then as "auto"
+            changed = replace(cfg, spatial_filters=spatial_filters)
+            assert ModelConfig.from_kv(changed.to_kv()) == changed
 
     def test_kv_file_parse(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bfpcnn.blocks import InceptionConfig, SpatialAttentionConfig
 from bfpcnn.errors import DataError
 from bfpcnn.model import ModelConfig, build_model
 from bfpcnn.tensor import Tensor
@@ -255,12 +254,12 @@ def toy_model(seed=0):
         input_size=16,
         stem_filters=2,
         refine_filters=(2,),
-        inception1=InceptionConfig(1, 1, 1, 1, 1, 1),
-        inception2=InceptionConfig(1, 1, 1, 1, 1, 1),
-        sep_block_filters=(4,),
-        spatial_attn=SpatialAttentionConfig(filters=None, kernel=3, dilations=(1, 2)),
+        inception1=(1, 1, 1, 1, 1, 1),
+        inception2=(1, 1, 1, 1, 1, 1),
+        sep_blocks=(4,),
+        spatial_filters=None, spatial_kernel=3, spatial_dilations=(1, 2),
         dense_units=8,
-        dropout_rate=0.0,
+        dropout=0.0,
         attn_dropout=0.0,
         seed=seed,
     ))
