@@ -37,11 +37,12 @@ from .preprocess import (
 )
 from .tensor import Tensor
 from .train import (
+    EpochStats,
     TrainConfig,
     compute_metrics,
     confusion_matrix,
     evaluate,
-    history_csv,
+    normalized,
     train,
 )
 
@@ -237,22 +238,30 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _write_confusion_csvs(cm, raw_path: Path, norm_path: Path) -> None:
-    header = ",".join(CLASS_NAMES)
-    raw_lines = [header] + [",".join(str(v) for v in row) for row in cm.counts]
-    raw_path.write_text("\n".join(raw_lines) + "\n")
-    norm = cm.normalized()
-    norm_lines = [header] + [",".join(f"{v:.6f}" for v in row) for row in norm]
-    norm_path.write_text("\n".join(norm_lines) + "\n")
-
-
-def _metrics_text(metrics) -> str:
-    lines = [f"accuracy {metrics.accuracy:.6f}"]
+def _write_scores(out: Path, counts: np.ndarray, first_line: str = "") -> float:
+    """Write metrics.txt and both confusion CSVs from the counts; returns the
+    accuracy."""
+    m = compute_metrics(counts)
+    lines = [f"accuracy {m.accuracy:.6f}"]
     for i, name in enumerate(CLASS_NAMES):
-        lines.append(f"{name} precision {metrics.precision[i]:.6f} "
-                     f"recall {metrics.recall[i]:.6f} f1 {metrics.f1[i]:.6f}")
-    lines.append(f"macro precision {metrics.macro_precision:.6f} "
-                 f"recall {metrics.macro_recall:.6f} f1 {metrics.macro_f1:.6f}")
+        lines.append(f"{name} precision {m.precision[i]:.6f} "
+                     f"recall {m.recall[i]:.6f} f1 {m.f1[i]:.6f}")
+    lines.append(f"macro precision {m.macro_precision:.6f} "
+                 f"recall {m.macro_recall:.6f} f1 {m.macro_f1:.6f}")
+    (out / "metrics.txt").write_text(first_line + "\n".join(lines) + "\n")
+    header = ",".join(CLASS_NAMES)
+    for name, rows, fmt in (("confusion.csv", counts, str),
+                            ("confusion_normalized.csv", normalized(counts), "{:.6f}".format)):
+        table = [header] + [",".join(map(fmt, row)) for row in rows]
+        (out / name).write_text("\n".join(table) + "\n")
+    return m.accuracy
+
+
+def history_csv(history: list[EpochStats]) -> str:
+    lines = ["epoch,phase,loss,accuracy,precision,recall,f1"]
+    for row in history:
+        lines.append(f"{row.epoch},{row.phase},{row.loss:.6f},{row.accuracy:.6f},"
+                     f"{row.precision:.6f},{row.recall:.6f},{row.f1:.6f}")
     return "\n".join(lines) + "\n"
 
 
@@ -270,6 +279,9 @@ class _StagingDir:
         self.tmp = self.final.with_name(f"{self.final.name}.partial{os.getpid()}")
 
     def __enter__(self) -> Path:
+        # a failure removes the outermost directory that mkdir creates here
+        self.made = next((p for p in reversed(self.tmp.parents) if not p.exists()),
+                         self.tmp)
         self.tmp.mkdir(parents=True)
         return self.tmp
 
@@ -277,7 +289,7 @@ class _StagingDir:
         if exc_type is None:
             os.rename(self.tmp, self.final)
         else:
-            shutil.rmtree(self.tmp)
+            shutil.rmtree(self.made)
         return False
 
 
@@ -295,14 +307,12 @@ def cmd_train(args) -> int:
         _write_kv(staging / "config.txt", spec.to_kv())
         save_checkpoint(model, staging / "model.ckpt")
         (staging / "history.csv").write_text(history_csv(report.history))
-        _write_confusion_csvs(report.confusion, staging / "confusion.csv",
-                              staging / "confusion_normalized.csv")
-        (staging / "metrics.txt").write_text(_metrics_text(report))
+        accuracy = _write_scores(staging, report.confusion)
         # each line is a file's name as the file system holds it, UTF-8 or not
         for split, idx in (("train", report.train_idx), ("val", report.val_idx)):
             (staging / f"{split}_files.txt").write_bytes(
                 b"".join(os.fsencode(files[i]) + b"\n" for i in idx))
-    print(f"run complete: {args.out} (val accuracy {report.accuracy:.4f})")
+    print(f"run complete: {args.out} (val accuracy {accuracy:.4f})")
     return 0
 
 
@@ -320,13 +330,10 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(args.ckpt, spec.model)  # only once the data has loaded
     preds, loss = evaluate(model, dataset.images, dataset.labels,
                            spec.train.batch_size)
-    cm = confusion_matrix(preds, dataset.labels, len(CLASS_NAMES))
-    metrics = compute_metrics(cm)
+    counts = confusion_matrix(preds, dataset.labels, len(CLASS_NAMES))
     with staging_dir as staging:
-        (staging / "metrics.txt").write_text(f"loss {loss:.6f}\n" + _metrics_text(metrics))
-        _write_confusion_csvs(cm, staging / "confusion.csv",
-                              staging / "confusion_normalized.csv")
-    print(f"eval complete: {args.out} (accuracy {metrics.accuracy:.4f})")
+        accuracy = _write_scores(staging, counts, f"loss {loss:.6f}\n")
+    print(f"eval complete: {args.out} (accuracy {accuracy:.4f})")
     return 0
 
 

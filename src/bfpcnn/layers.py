@@ -58,20 +58,14 @@ class BatchNormParams:
 
     gamma: Tensor
     beta: Tensor
-    running_mean: Tensor = None
-    running_var: Tensor = None
-
-    def __post_init__(self):
-        ch = self.gamma.shape[0]
-        if self.running_mean is None:
-            self.running_mean = Tensor([ch], 0.0)
-        if self.running_var is None:
-            self.running_var = Tensor([ch], 1.0)
+    running_mean: Tensor
+    running_var: Tensor
 
     @classmethod
     def create(cls, channels: int) -> "BatchNormParams":
         return cls(Tensor([channels], 1.0, requires_grad=True),
-                   Tensor([channels], 0.0, requires_grad=True))
+                   Tensor([channels], 0.0, requires_grad=True),
+                   Tensor([channels], 0.0), Tensor([channels], 1.0))
 
 
 def he_uniform(rng: np.random.Generator | None, shape, fan_in: int) -> Tensor:

@@ -397,8 +397,9 @@ class _Reader:
 
 
 def read_kv_file(path) -> dict[str, str]:
-    """Parse `key = value` lines; '#' starts a comment."""
+    """Parse `key = value` lines; '#' starts a comment. A key may be set once."""
     values: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -410,5 +411,9 @@ def read_kv_file(path) -> dict[str, str]:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: {key} is already set on line {set_on[key]}")
+        set_on[key] = lineno
+        values[key] = value.strip()
     return values

@@ -4,6 +4,7 @@ nearest-neighbor resizing and pixel normalization, plus binary PGM I/O."""
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,19 +144,13 @@ def write_pgm(img: GrayImage, path) -> None:
     os.replace(tmp, path)
 
 
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+
+
 def _next_token(raw: bytes, pos: int) -> tuple[bytes, int]:
     # skip whitespace and '#' comment lines between header fields
-    while True:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(raw) and raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        break
-    start = pos
-    while pos < len(raw) and not raw[pos : pos + 1].isspace():
-        pos += 1
-    if start == pos:
+    token = _HEADER_TOKEN.match(raw, pos)
+    if not token[1]:
         raise ValueError("missing header token")
-    return raw[start:pos], pos
+    return token[1], token.end()
+

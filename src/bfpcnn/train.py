@@ -122,21 +122,8 @@ def optimizer_step(params: list[Tensor], state: OptimizerState,
     return state
 
 
-@dataclass
-class ConfusionMatrix:
-    """counts[true][predicted] over evaluated samples."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-
-    def normalized(self) -> np.ndarray:
-        """Rows divided by their sums; empty rows stay zero."""
-        return _safe_div(self.counts, self.counts.sum(axis=1, keepdims=True))
-
-
-def confusion_matrix(preds, labels, class_count: int) -> ConfusionMatrix:
+def confusion_matrix(preds, labels, class_count: int) -> np.ndarray:
+    """int64 counts[true][predicted] over the evaluated samples."""
     preds = np.asarray(preds, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if preds.shape != labels.shape:
@@ -146,7 +133,12 @@ def confusion_matrix(preds, labels, class_count: int) -> ConfusionMatrix:
             raise DataError(f"{name} must lie in [0, {class_count})")
     counts = np.zeros((class_count, class_count), dtype=np.int64)
     np.add.at(counts, (labels, preds), 1)
-    return ConfusionMatrix(counts)
+    return counts
+
+
+def normalized(counts: np.ndarray) -> np.ndarray:
+    """Confusion rows divided by their sums; empty rows stay zero."""
+    return _safe_div(counts, counts.sum(axis=1, keepdims=True))
 
 
 @dataclass
@@ -162,9 +154,6 @@ class EpochStats:
 
 @dataclass
 class MetricsReport:
-    """Final metrics plus, when produced by training, the per-epoch series,
-    the train/val split and the final validation confusion matrix."""
-
     accuracy: float
     precision: list[float]
     recall: list[float]
@@ -172,15 +161,20 @@ class MetricsReport:
     macro_precision: float
     macro_recall: float
     macro_f1: float
-    history: list[EpochStats] = field(default_factory=list)
-    train_idx: np.ndarray | None = None
-    val_idx: np.ndarray | None = None
-    confusion: ConfusionMatrix | None = None
 
 
-def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
+@dataclass
+class TrainReport:
+    """Per-epoch series, the train/val split and the final validation counts."""
+
+    history: list[EpochStats]
+    train_idx: np.ndarray
+    val_idx: np.ndarray
+    confusion: np.ndarray
+
+
+def compute_metrics(counts: np.ndarray) -> MetricsReport:
     """Accuracy is trace/total; per-class ratios define 0/0 as 0."""
-    counts = cm.counts
     total = counts.sum()
     if total == 0:
         raise DataError("no samples tallied")
@@ -238,15 +232,15 @@ def evaluate(model: ModelGraph, images: np.ndarray, labels: np.ndarray,
 
 
 def _phase_stats(model: ModelGraph, data: Dataset, idx: np.ndarray, epoch: int,
-                 phase: str, batch_size: int) -> tuple[EpochStats, ConfusionMatrix]:
+                 phase: str, batch_size: int) -> tuple[EpochStats, np.ndarray]:
     preds, loss = evaluate(model, data.images[idx], data.labels[idx], batch_size)
-    cm = confusion_matrix(preds, data.labels[idx], len(CLASS_NAMES))
-    m = compute_metrics(cm)
+    counts = confusion_matrix(preds, data.labels[idx], len(CLASS_NAMES))
+    m = compute_metrics(counts)
     return EpochStats(epoch, phase, loss, m.accuracy, m.macro_precision,
-                      m.macro_recall, m.macro_f1), cm
+                      m.macro_recall, m.macro_f1), counts
 
 
-def train(model: ModelGraph, data: Dataset, cfg: TrainConfig) -> MetricsReport:
+def train(model: ModelGraph, data: Dataset, cfg: TrainConfig) -> TrainReport:
     """Seeded mini-batch training; history rows are post-epoch evaluations of
     both splits in infer mode (running statistics), so an external evaluation
     of the same samples reproduces them."""
@@ -264,7 +258,7 @@ def train(model: ModelGraph, data: Dataset, cfg: TrainConfig) -> MetricsReport:
     params = model.parameters()
     state = OptimizerState.for_params(params, cfg)
     history: list[EpochStats] = []
-    final_cm: ConfusionMatrix | None = None
+    counts: np.ndarray | None = None
 
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(train_idx)
@@ -278,22 +272,11 @@ def train(model: ModelGraph, data: Dataset, cfg: TrainConfig) -> MetricsReport:
             optimizer_step(params, state, cfg)
         train_stats, _ = _phase_stats(model, data, train_idx, epoch, "train",
                                       cfg.batch_size)
-        val_stats, final_cm = _phase_stats(model, data, val_idx, epoch, "val",
-                                           cfg.batch_size)
+        val_stats, counts = _phase_stats(model, data, val_idx, epoch, "val",
+                                         cfg.batch_size)
         history.append(train_stats)
         history.append(val_stats)
 
-    if final_cm is None:  # epochs == 0: still report the initial state
-        _, final_cm = _phase_stats(model, data, val_idx, 0, "val", cfg.batch_size)
-    report = compute_metrics(final_cm)
-    report.history = history
-    report.train_idx, report.val_idx, report.confusion = train_idx, val_idx, final_cm
-    return report
-
-
-def history_csv(history: list[EpochStats]) -> str:
-    lines = ["epoch,phase,loss,accuracy,precision,recall,f1"]
-    for row in history:
-        lines.append(f"{row.epoch},{row.phase},{row.loss:.6f},{row.accuracy:.6f},"
-                     f"{row.precision:.6f},{row.recall:.6f},{row.f1:.6f}")
-    return "\n".join(lines) + "\n"
+    if counts is None:  # epochs == 0: still report the initial state
+        _, counts = _phase_stats(model, data, val_idx, 0, "val", cfg.batch_size)
+    return TrainReport(history, train_idx, val_idx, counts)

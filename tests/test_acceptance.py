@@ -167,7 +167,8 @@ def test_criterion_2_gradient_correctness():
         bv = smooth_values(rng, (2,))
         cw = smooth_values(rng, (2, 2, 3, 3))
         op_case(lambda t: (batchnorm(t, BatchNormParams(
-            Tensor([2], gv.copy()), Tensor([2], bv.copy())), "train")
+            Tensor([2], gv.copy()), Tensor([2], bv.copy()),
+            Tensor([2], 0.0), Tensor([2], 1.0)), "train")
             * Tensor([2, 2, 3, 3], cw.copy())).sum(),
             smooth_values(rng, (2, 2, 3, 3), scale=1.5))
 

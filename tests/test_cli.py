@@ -31,9 +31,27 @@ model.seed = 3
 """
 
 
+def with_settings(text: str, extra: str) -> str:
+    """``text`` then ``extra``, minus ``text``'s lines for the keys ``extra``
+    sets: a config file may set each key once."""
+    keys = {line.split("=", 1)[0].strip() for line in extra.splitlines() if "=" in line}
+    kept = [line for line in text.splitlines(keepends=True)
+            if line.split("=", 1)[0].strip() not in keys]
+    return "".join(kept) + extra
+
+
 def write_tiny_config(path: Path, extra: str = "") -> Path:
-    path.write_text(TINY_MODEL_KV + extra)
+    path.write_text(with_settings(TINY_MODEL_KV, extra))
     return path
+
+
+def copy_split(run: Path, split: str, dest: Path) -> Path:
+    """A data tree holding exactly the files of ``split`` in ``run``."""
+    for name in CLASS_NAMES:
+        (dest / name).mkdir(parents=True)
+    for line in (run / f"{split}_files.txt").read_text().strip().split("\n"):
+        shutil.copy(line, dest / Path(line).parent.name / Path(line).name)
+    return dest
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -175,6 +193,22 @@ class TestPreprocessCommand:
                      "--out", str(tmp_path / "out"), "--target", "8",
                      "--window", "4", "--stages"]) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+
+    def test_failure_removes_the_parents_it_made(self, tmp_path):
+        gen_synthetic(tmp_path / "in", per_class=1, size=8, seed=2)
+        bad = tmp_path / "in" / "NonDemented" / "NonDemented_0000.pgm"
+        good = bad.read_bytes()
+        bad.write_bytes(b"P5\n8 8\n255\nxx")
+        (tmp_path / "kept").mkdir()
+        out = tmp_path / "kept" / "new" / "parent" / "prep"
+        args = ["preprocess", "--in", str(tmp_path / "in"), "--out", str(out),
+                "--target", "8"]
+        assert main(args) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in", "kept"]
+        assert not any((tmp_path / "kept").iterdir())
+        bad.write_bytes(good)
+        assert main(args) == 0  # a command that succeeds keeps them
+        assert ingest(out).counts == [1, 1, 1, 1]
 
 
     @pytest.mark.parametrize("window", ["4", "0"])
@@ -335,14 +369,7 @@ class TestTrainCommand:
 class TestEvalCommand:
     def test_eval_reproduces_final_train_metrics(self, tmp_path):
         out = run_tiny_training(tmp_path, epochs="2")
-        # rebuild a dataset holding exactly the train-split files
-        train_files = [Path(line) for line in
-                       (out / "train_files.txt").read_text().strip().split("\n")]
-        subset = tmp_path / "subset"
-        for name in CLASS_NAMES:
-            (subset / name).mkdir(parents=True)
-        for path in train_files:
-            shutil.copy(path, subset / path.parent.name / path.name)
+        subset = copy_split(out, "train", tmp_path / "subset")
         ev = tmp_path / "evalrun"
         assert main(["eval", "--ckpt", str(out / "model.ckpt"),
                      "--data", str(subset), "--out", str(ev)]) == 0
@@ -355,6 +382,22 @@ class TestEvalCommand:
         got_acc = float(metrics[1].split()[1])
         assert abs(got_loss - float(loss)) <= 1e-6
         assert abs(got_acc - float(acc)) <= 1e-6
+
+    def test_eval_of_val_split_rewrites_run_scores(self, tmp_path):
+        # train and eval write their scores through one writer, so an eval
+        # of the val files reproduces the run's score files
+        out = run_tiny_training(tmp_path, epochs="2")
+        subset = copy_split(out, "val", tmp_path / "subset")
+        ev = tmp_path / "evalrun"
+        assert main(["eval", "--ckpt", str(out / "model.ckpt"),
+                     "--data", str(subset), "--out", str(ev)]) == 0
+        for name in ("confusion.csv", "confusion_normalized.csv"):
+            assert (ev / name).read_bytes() == (out / name).read_bytes()
+        loss_line, rest = (ev / "metrics.txt").read_text().split("\n", 1)
+        assert rest == (out / "metrics.txt").read_text()
+        last_val = (out / "history.csv").read_text().strip().split("\n")[-1].split(",")
+        assert last_val[1] == "val"
+        assert abs(float(loss_line.split()[1]) - float(last_val[2])) <= 1e-6
 
     def test_data_checked_before_checkpoint_load(self, tmp_path, capsys, monkeypatch):
         out = run_tiny_training(tmp_path, epochs="1")
@@ -465,6 +508,17 @@ class TestExitCodes:
             f"error: {absent}: missing class directory 'MildDemented'\n"
         assert not out.exists()
 
+    def test_repeated_config_key_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("train.epochs = 1\n# no training\n train.epochs=0\n")
+        out = tmp_path / "run"
+        # absent data would exit 2, so exit 1 shows no data was read
+        assert main(["train", "--data", str(tmp_path / "absent"), "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {cfg}:3: train.epochs is already set on line 1\n"
+        assert not out.exists()
+
     def test_non_utf8_train_config_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"train.lr = 0.5\n# \xff\xfe\n")
@@ -545,8 +599,8 @@ class TestExitCodes:
             args = ["train", "--data", absent, "--config", str(cfg), "--out", str(out)]
         else:
             run = run_tiny_training(tmp_path, epochs="1")
-            with open(run / "config.txt", "a") as fh:
-                fh.write(lines)  # a later line overrides the run's own value
+            config = run / "config.txt"  # the bad value replaces the run's own
+            config.write_text(with_settings(config.read_text(), lines))
             capsys.readouterr()  # drop training output
             args = [command, "--ckpt", str(run / "model.ckpt")] + (
                 ["--data", absent, "--out", str(out)] if command == "eval"
@@ -587,7 +641,8 @@ class TestExitCodes:
         (b"P5\n2 2\n65535\n" + bytes(8), "unsupported header"),
         (b"P5\n0 2\n255\n", "unsupported header"),
         (b"P5\n2 2\n", "missing header token"),
-    ], ids=["16-bit", "zero-width", "no-maxval"])
+        (b"P5\n2 2\n255#x\n" + bytes(4), "invalid literal for int() with base 10: b'255#x'"),
+    ], ids=["16-bit", "zero-width", "no-maxval", "comment-glued-to-maxval"])
     def test_bad_pgm_header_is_data_error(self, tmp_path, capsys, raw, reason):
         data = tmp_path / "data"
         gen_synthetic(data, per_class=2, size=16, seed=1)

@@ -347,7 +347,8 @@ class TestBatchNorm:
 
     def test_gamma_zero_beta_five(self):
         p = BatchNormParams(Tensor([2], 0.0, requires_grad=True),
-                            Tensor([2], 5.0, requires_grad=True))
+                            Tensor([2], 5.0, requires_grad=True),
+                            Tensor([2], 0.0), Tensor([2], 1.0))
         rng = np.random.default_rng(12)
         x = Tensor([2, 2, 3, 3], smooth_values(rng, (2, 2, 3, 3)))
         assert np.all(batchnorm(x, p, "train").data == 5.0)

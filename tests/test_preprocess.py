@@ -260,9 +260,15 @@ class TestPgmIO:
 
     def test_reads_comments(self, tmp_path):
         path = tmp_path / "c.pgm"
-        path.write_bytes(b"P5\n# a comment\n2 1\n255\n\x05\x06")
-        img = read_pgm(path)
-        assert img.pixels.tolist() == [[5, 6]]
+        # a comment before the magic or between any fields, and every
+        # whitespace byte as a separator
+        for header in (b"P5\n# a comment\n2 1\n255\n",
+                       b"# before the magic\nP5\n2 1\n255\n",
+                       b"P5\n# width\n2\n# height\n1 # maxval\n255\n",
+                       b"P5\r\n2 \t1\x0b\x0c255\n"):
+            path.write_bytes(header + b"\x05\x06")
+            img = read_pgm(path)
+            assert img.pixels.tolist() == [[5, 6]], header
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "bad.pgm"
