@@ -35,8 +35,9 @@ class DatasetManifest:
 
 
 def ingest(root) -> DatasetManifest:
-    """List a dataset root's files, lexicographically per class. Each reader
-    of the files names the first one that is not a valid PGM."""
+    """List a dataset root's files, lexicographically per class; a root with
+    no file at all is refused. Each reader of the files names the first one
+    that is not a valid PGM."""
     root = Path(root)
     files: dict[str, list[Path]] = {}
     for name in CLASS_NAMES:
@@ -44,6 +45,8 @@ def ingest(root) -> DatasetManifest:
         if not class_dir.is_dir():
             raise DataError(f"{root}: missing class directory {name!r}")
         files[name] = sorted(p for p in class_dir.iterdir() if p.is_file())
+    if not any(files.values()):
+        raise DataError(f"{root}: dataset is empty")
     return DatasetManifest(root, files)
 
 
@@ -95,6 +98,4 @@ def load_dataset(manifest: DatasetManifest, target: int, window: int = DEFAULT_W
     for path, label in manifest.labelled_files():
         images.append(prepare(read_pgm(path), target, window, full_pipeline)[None])
         labels.append(label)
-    if not images:
-        return Dataset(np.zeros((0, 1, target, target), np.float32), np.zeros(0, np.int64))
     return Dataset(np.stack(images), np.asarray(labels))

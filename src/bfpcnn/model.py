@@ -5,9 +5,9 @@ and the dense head. Also binary checkpoints."""
 from __future__ import annotations
 
 import contextlib
+import mmap
 import os
 import struct
-import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
@@ -47,7 +47,10 @@ from .tensor import Tensor, no_tape
 CLASS_NAMES = ("MildDemented", "ModerateDemented", "NonDemented", "VeryMildDemented")
 
 CHECKPOINT_MAGIC = b"BFPC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# every payload starts at a multiple of this file offset, so that a mapped
+# payload is an aligned float32 array: numpy copies unaligned operands
+PAYLOAD_ALIGN = 64
 
 
 @dataclass
@@ -309,8 +312,11 @@ def forward(model: ModelGraph, batch: Tensor, mode: Mode,
 
 def save_checkpoint(model: ModelGraph, path) -> None:
     """magic 'BFPC', version u32, count u32, then per tensor: name (u16 length
-    + utf-8), rank u8, dims u32 each, f32 little-endian payload."""
+    + utf-8), rank u8, dims u32 each, zero bytes up to the next multiple of
+    PAYLOAD_ALIGN, f32 little-endian payload."""
     entries = list(model.named_tensors())
+    # written beside ``path`` and renamed over it, never rewritten in place:
+    # a model loaded from the old file keeps mapping the old file's bytes
     tmp = f"{path}.tmp{os.getpid()}"
     with open(tmp, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -323,42 +329,48 @@ def save_checkpoint(model: ModelGraph, path) -> None:
             fh.write(struct.pack("<B", tensor.data.ndim))
             for dim in tensor.shape:
                 fh.write(struct.pack("<I", dim))
+            fh.write(bytes(-fh.tell() % PAYLOAD_ALIGN))
             # the file takes the array's own buffer, so saving copies no payload
             fh.write(np.ascontiguousarray(tensor.data, dtype="<f4"))
     os.replace(tmp, path)
 
 
 def load_checkpoint(path, cfg: ModelConfig) -> ModelGraph:
-    """Rebuild the model for ``cfg`` without drawing weights, then read every
-    tensor straight into its own buffer, bitwise. The file must hold exactly
-    ``named_tensors()`` in order, as ``save_checkpoint`` writes them."""
-    with open(path, "rb") as fh:
-        view = _Reader(fh, path)
-        if view.take(4) != CHECKPOINT_MAGIC:
-            raise DataError(f"{path}: expected magic {CHECKPOINT_MAGIC!r}")
-        version = view.uint("<I")
-        if version != CHECKPOINT_VERSION:
-            raise DataError(f"{path}: version {version}, supported {CHECKPOINT_VERSION}")
-        count = view.uint("<I")
+    """Rebuild the model for ``cfg`` without drawing weights, then make every
+    tensor a view of its payload in a copy-on-write mapping of the file,
+    bitwise: writes to the model never reach the file. The file must hold
+    exactly ``named_tensors()`` in order, as ``save_checkpoint`` writes them."""
+    view = _Reader(path)
+    if view.take(4).tobytes() != CHECKPOINT_MAGIC:
+        raise DataError(f"{path}: expected magic {CHECKPOINT_MAGIC!r}")
+    version = view.uint("<I")
+    if version != CHECKPOINT_VERSION:
+        raise DataError(f"{path}: version {version}, supported {CHECKPOINT_VERSION}")
+    count = view.uint("<I")
 
-        # the weights stay uninitialised until read, so any failure below
-        # must raise before the model is returned
-        model = build_model(replace(cfg, seed=None))
-        model.config = cfg
-        expected = [(name, t) for name, t, _ in model.named_tensors()]
-        for i in range(count):
-            name = view.take(view.uint("<H")).decode("utf-8", "backslashreplace")
-            dims = tuple(view.uint("<I") for _ in range(view.uint("<B")))
-            if i == len(expected):
-                raise DataError(f"{path}: unexpected tensor {name!r} after the "
-                                f"model's last, {expected[-1][0]!r}")
-            want, target = expected[i]
-            if (name, dims) != (want, target.shape):
-                raise DataError(f"{path}: tensor {i} is {name!r} {dims}, "
-                                f"model expects {want!r} {target.shape}")
-            view.fill(target.data)
-        if fh.read(1):
-            raise DataError(f"{path}: unexpected data after byte {fh.tell() - 1}")
+    # the tensors stay uninitialised until their payloads replace them, so
+    # any failure below must raise before the model is returned
+    model = build_model(replace(cfg, seed=None))
+    model.config = cfg
+    expected = [(name, t) for name, t, _ in model.named_tensors()]
+    for i in range(count):
+        name = view.take(view.uint("<H")).tobytes().decode("utf-8", "backslashreplace")
+        dims = tuple(view.uint("<I") for _ in range(view.uint("<B")))
+        if i == len(expected):
+            raise DataError(f"{path}: unexpected tensor {name!r} after the "
+                            f"model's last, {expected[-1][0]!r}")
+        want, target = expected[i]
+        if (name, dims) != (want, target.shape):
+            raise DataError(f"{path}: tensor {i} is {name!r} {dims}, "
+                            f"model expects {want!r} {target.shape}")
+        if view.take(-view.pos % PAYLOAD_ALIGN).any():
+            raise DataError(f"{path}: nonzero padding before the payload of "
+                            f"tensor {i}, {name!r}")
+        payload = view.take(target.data.nbytes).view("<f4").reshape(dims)
+        # on a little-endian host a view of the mapping, elsewhere a native copy
+        target.data = payload.astype(np.float32, copy=False)
+    if view.pos < len(view.raw):
+        raise DataError(f"{path}: unexpected data after byte {view.pos}")
     if count < len(expected):
         raise DataError(f"{path}: ends after {count} tensors, "
                         f"model expects {expected[count][0]!r} next")
@@ -366,30 +378,26 @@ def load_checkpoint(path, cfg: ModelConfig) -> ModelGraph:
 
 
 class _Reader:
-    """Reads checkpoint fields in order from an open file; a short read says
-    where the file ended."""
+    """Walks a checkpoint's fields in order through a copy-on-write mapping of
+    the file; a field that runs past the end says where the file ended."""
 
-    def __init__(self, fh, path):
-        self.fh = fh
+    def __init__(self, path):
         self.path = path
+        with open(path, "rb") as fh:
+            # a zero-byte file cannot be mapped, and holds no field anyway
+            mapping = (mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+                       if os.fstat(fh.fileno()).st_size else b"")
+        # one byte view per file, sliced per field: a np.frombuffer per
+        # tensor would leave a buffer export on every tensor
+        self.raw = np.frombuffer(mapping, np.uint8)
+        self.pos = 0
 
-    def _check(self, got: int, n: int) -> None:
-        if got < n:
-            end = self.fh.tell()
-            raise DataError(f"{self.path}: ended at byte {end}, needed {end - got + n}")
-
-    def take(self, n: int) -> bytes:
-        chunk = self.fh.read(n)
-        self._check(len(chunk), n)
-        return chunk
-
-    def fill(self, array: np.ndarray) -> None:
-        """Read a little-endian float32 payload into ``array`` in place."""
-        # through a temporary byte view: numpy keeps a buffer description on
-        # each array it exports, which would otherwise stay with the model
-        self._check(self.fh.readinto(array.view(np.uint8)), array.nbytes)
-        if sys.byteorder != "little":
-            array.byteswap(inplace=True)
+    def take(self, n: int) -> np.ndarray:
+        """The next ``n`` bytes, as a view of the mapping."""
+        start, self.pos = self.pos, self.pos + n
+        if self.pos > len(self.raw):
+            raise DataError(f"{self.path}: ended at byte {len(self.raw)}, needed {self.pos}")
+        return self.raw[start:self.pos]
 
     def uint(self, fmt: str) -> int:
         """One little-endian unsigned field of struct format ``fmt``."""

@@ -508,6 +508,25 @@ class TestExitCodes:
             f"error: {absent}: missing class directory 'MildDemented'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "train", "preprocess"])
+    def test_empty_dataset_is_data_error(self, tmp_path, capsys, command):
+        empty = tmp_path / "empty"
+        for name in CLASS_NAMES:
+            (empty / name).mkdir(parents=True)
+        # eval refuses the tree before it loads the checkpoint, a zero-byte
+        # file whose refusal would print another line
+        run = tmp_path / "run"
+        run.mkdir()
+        write_tiny_config(run / "config.txt")
+        (run / "model.ckpt").touch()
+        out = tmp_path / "out"
+        args = {"eval": ["eval", "--ckpt", str(run / "model.ckpt"), "--data", str(empty)],
+                "train": ["train", "--data", str(empty)],
+                "preprocess": ["preprocess", "--in", str(empty)]}[command]
+        assert main(args + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {empty}: dataset is empty\n"
+        assert not out.exists()
+
     def test_repeated_config_key_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("train.epochs = 1\n# no training\n train.epochs=0\n")

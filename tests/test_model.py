@@ -467,13 +467,15 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="expected magic b'BFPC'"):
             load_checkpoint(path, tiny_config())
 
-    def test_version_mismatch(self, tmp_path):
+    # version 1 packed each payload right after its dims, unaligned
+    @pytest.mark.parametrize("version", [1, 9])
+    def test_version_mismatch(self, tmp_path, version):
         path = tmp_path / "model.ckpt"
         save_checkpoint(build_model(tiny_config()), path)
         raw = bytearray(path.read_bytes())
-        raw[4] = 9
+        raw[4] = version
         path.write_bytes(bytes(raw))
-        with pytest.raises(DataError, match="version 9, supported 1"):
+        with pytest.raises(DataError, match=f"version {version}, supported 2"):
             load_checkpoint(path, tiny_config())
 
     def test_truncated(self, tmp_path):
@@ -485,9 +487,11 @@ class TestCheckpoint:
             load_checkpoint(path, tiny_config())
 
     # the first entry, "stem.weight" [2, 1, 7, 7], starts at byte 12: name
-    # length at 12, name at 14, rank at 25, dims at 26, payload at 42
-    @pytest.mark.parametrize("cut", [6, 19, 32, 142, -1],
-                             ids=["header", "name", "dims", "payload", "last-byte"])
+    # length at 12, name at 14, rank at 25, dims at 26, padding at 42,
+    # payload at 64
+    @pytest.mark.parametrize("cut", [0, 6, 19, 32, 50, 142, -1],
+                             ids=["empty", "header", "name", "dims", "padding", "payload",
+                                  "last-byte"])
     def test_truncated_anywhere(self, tmp_path, cut):
         path = tmp_path / "model.ckpt"
         save_checkpoint(build_model(tiny_config()), path)
@@ -561,6 +565,9 @@ class TestCheckpoint:
         "trailing-bytes": (
             lambda save, e, raw: raw + b"x",
             "unexpected data after byte {size}"),
+        "nonzero-padding": (
+            lambda save, e, raw: raw[:63] + b"\x01" + raw[64:],
+            "nonzero padding before the payload of tensor 0, 'stem.weight'"),
     }
 
     @pytest.mark.parametrize("case", SPOILED)
@@ -588,7 +595,8 @@ class TestCheckpoint:
 
     def test_wire_format_layout(self, tmp_path):
         # independent parse of the declared byte layout: magic, u32 version,
-        # u32 count, then (u16 name length, name, u8 rank, u32 dims, f32 data)
+        # u32 count, then (u16 name length, name, u8 rank, u32 dims, zero
+        # padding to a multiple of 64 bytes, f32 data)
         import struct
 
         model = build_model(tiny_config(seed=2))
@@ -597,7 +605,7 @@ class TestCheckpoint:
         raw = path.read_bytes()
         assert raw[:4] == b"BFPC"
         version, count = struct.unpack_from("<II", raw, 4)
-        assert version == 1
+        assert version == 2
         entries = list(model.named_tensors())
         assert count == len(entries)
         pos = 12
@@ -611,11 +619,37 @@ class TestCheckpoint:
             dims = struct.unpack_from(f"<{rank}I", raw, pos)
             pos += 4 * rank
             assert dims == tensor.shape
+            payload_at = -(-pos // 64) * 64
+            assert raw[pos:payload_at] == bytes(payload_at - pos)
+            pos = payload_at
             n = int(np.prod(dims))
             payload = np.frombuffer(raw, dtype="<f4", count=n, offset=pos)
             assert np.array_equal(payload.reshape(dims), tensor.data)
             pos += 4 * n
-        assert pos == len(raw)  # no padding, no trailer
+        assert pos == len(raw)  # no trailer
+
+    def test_loaded_model_and_file_stay_apart(self, tmp_path):
+        # the load maps the file copy-on-write, and a save replaces the file:
+        # neither a write into the model nor a re-save reaches the other
+        cfg = tiny_config(seed=4)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(cfg), path)
+        saved = path.read_bytes()
+        loaded = load_checkpoint(path, cfg)
+        head = {name: t for name, t, _ in loaded.named_tensors()}["head.weight"]
+        head.data[...] = 7.0
+        assert path.read_bytes() == saved
+
+        loaded = load_checkpoint(path, cfg)
+        batch = np.random.default_rng(3).standard_normal((2, 1, 16, 16), dtype=np.float32)
+        before = forward(loaded, Tensor(batch.shape, batch), "infer").data.copy()
+        tensors = [t.data.copy() for _, t, _ in loaded.named_tensors()]
+        save_checkpoint(build_model(replace(cfg, seed=5)), path)
+        assert path.read_bytes() != saved
+        for (_, t, _), kept in zip(loaded.named_tensors(), tensors):
+            assert np.array_equal(t.data, kept)
+        assert np.array_equal(forward(loaded, Tensor(batch.shape, batch), "infer").data,
+                              before)
 
 
 class TestConfigSerialization:
