@@ -53,7 +53,7 @@ def histogram_equalize(img: GrayImage) -> GrayImage:
         return GrayImage(img.pixels.copy())
     scaled = (cdf - cdf_min) / (cdf_max - cdf_min) * (INTENSITY_LEVELS - 1)
     lut = np.floor(scaled + 0.5).clip(0, 255).astype(np.uint8)  # round half up
-    return GrayImage(lut[img.pixels])
+    return GrayImage(np.take(lut, img.pixels))
 
 
 def check_window(window: int) -> None:
@@ -62,16 +62,36 @@ def check_window(window: int) -> None:
         raise ConfigError(f"window must be odd and positive, got {window}")
 
 
+def _merge_exchange(n: int):
+    """Compare-exchange pairs (a, b), a < b, of Batcher's merge-exchange
+    sort (Knuth, TAOCP vol. 3, 5.2.2 Algorithm M) for the next power of two
+    >= n; a missing input acts as +inf, so pairs with b >= n are left out."""
+    p = top = 1 << (n - 1).bit_length() >> 1
+    while p:
+        q, r, d = top, 0, p
+        while True:
+            for a in range(n - d):
+                if a & p == r:
+                    yield a, a + d
+            if q == p:
+                break
+            q, r, d = q >> 1, p, q - p
+        p >>= 1
+
+
 def median_filter(img: GrayImage, window: int = DEFAULT_WINDOW) -> GrayImage:
     """Replace each pixel by the exact median of its window x window
-    neighborhood; borders are padded by edge replication."""
+    neighborhood, borders padded by edge replication: the middle output of a
+    min/max sorting network over the window**2 shifted copies (integer only)."""
     check_window(window)
-    r = window // 2
+    (h, w), r = img.pixels.shape, window // 2
     padded = np.pad(img.pixels, r, mode="edge")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (window, window))
-    # odd count of values: the median is an element of the neighborhood
-    med = np.median(windows.reshape(img.height, img.width, -1), axis=-1)
-    return GrayImage(med.astype(np.uint8))
+    v = [padded[i:i + h, j:j + w].copy() for i in range(window) for j in range(window)]
+    for a, b in _merge_exchange(len(v)):
+        lo = np.minimum(v[a], v[b])
+        np.maximum(v[a], v[b], out=v[b])
+        v[a] = lo
+    return GrayImage(v[len(v) // 2])
 
 
 def resize(img: GrayImage, target: int) -> GrayImage:

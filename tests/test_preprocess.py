@@ -6,6 +6,7 @@ import pytest
 from bfpcnn.errors import ConfigError, DataError
 from bfpcnn.preprocess import (
     GrayImage,
+    _merge_exchange,
     histogram_equalize,
     median_filter,
     normalize,
@@ -14,6 +15,8 @@ from bfpcnn.preprocess import (
     resize,
     write_pgm,
 )
+
+from util import reference_median_filter
 
 
 # -- independent oracles (pure python loops) ---------------------------------
@@ -147,6 +150,38 @@ class TestMedianFilter:
         img = random_image(rng, max_side=16)
         assert np.array_equal(median_filter(img, window).pixels,
                               median_oracle(img.pixels, window))
+
+    @pytest.mark.parametrize("kind", ["random", "two-level", "zeros", "full", "constant"])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 3), (64, 80)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("window", [1, 3, 5, 7, 9, 15])
+    def test_matches_np_median(self, window, shape, kind):
+        """Bit for bit the ``np.median`` filter it replaced, also where the
+        window is larger than the image. All-255 images equal the +inf that
+        a missing input stands for, where the network leaves pairs out."""
+        rng = np.random.default_rng(window * 1000 + shape[0] * 100 + shape[1])
+        pixels = {
+            "random": lambda: rng.integers(0, 256, shape),
+            "two-level": lambda: rng.integers(0, 2, shape) * 255,
+            "zeros": lambda: np.zeros(shape),
+            "full": lambda: np.full(shape, 255),
+            "constant": lambda: np.full(shape, 131),
+        }[kind]().astype(np.uint8)
+        assert np.array_equal(median_filter(GrayImage(pixels), window).pixels,
+                              reference_median_filter(pixels, window))
+
+    def test_network_sorts_every_binary_input(self):
+        """The 0-1 principle: a comparator network that sorts every 0/1
+        input sorts every input, so each network up to 20 wires (window 3
+        has 9) is checked against all 2**n binary columns."""
+        for n in range(1, 21):
+            codes = np.arange(1 << n, dtype=np.uint32)
+            v = [((codes >> k) & 1).astype(np.uint8) for k in range(n)]
+            for a, b in _merge_exchange(n):
+                assert 0 <= a < b < n
+                v[a], v[b] = np.minimum(v[a], v[b]), np.maximum(v[a], v[b])
+            for k in range(n - 1):
+                assert np.all(v[k] <= v[k + 1]), (n, k)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_values_come_from_neighborhood(self, seed):

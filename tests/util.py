@@ -1,8 +1,9 @@
 """Shared helpers for the test suite: gradient checking against central
 finite differences, random tensor construction kept away from the kinks of
 relu/maxpool so the differences stay meaningful, a reference copy of
-self-attention built from separate tape ops, and a per-tap im2col pair that
-the layers' strided window view must match."""
+self-attention built from separate tape ops, a per-tap im2col pair that
+the layers' strided window view must match, and the ``np.median`` filter
+that the preprocessing sorting network must match."""
 
 import numpy as np
 
@@ -190,3 +191,14 @@ def reference_col2im(dcol: np.ndarray, geometry) -> np.ndarray:
             dx[:, :, i0:i0 + stride * oh:stride,
                j0:j0 + stride * ow:stride] += dcol[:, :, i, j]
     return dx[:, :, pt:pt + h, pl:pl + w]
+
+
+def reference_median_filter(pixels: np.ndarray, window: int) -> np.ndarray:
+    """``preprocess.median_filter`` as one ``np.median`` over each
+    edge-padded window x window neighborhood, which the sorting network
+    replaced; uint8 [H, W] in and out."""
+    h, w = pixels.shape
+    padded = np.pad(pixels, window // 2, mode="edge")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (window, window))
+    # odd count of values: the median is an element of the neighborhood
+    return np.median(windows.reshape(h, w, -1), axis=-1).astype(np.uint8)
