@@ -10,7 +10,7 @@ import argparse
 import os
 import shutil
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,6 @@ from .model import (
     build_model,
     forward,
     load_checkpoint,
-    read_kv_file,
     save_checkpoint,
 )
 from .preprocess import (
@@ -57,35 +56,26 @@ class RunSpec:
     window: int
 
     def to_kv(self) -> dict[str, str]:
-        kv = dict(self.model.to_kv())
-        kv.update({
-            "train.lr": repr(self.train.learning_rate),
-            "train.epochs": str(self.train.epochs),
-            "train.batch": str(self.train.batch_size),
-            "train.optimizer": self.train.optimizer,
-            "train.seed": str(self.train.seed),
-            "train.val_fraction": repr(self.train.val_fraction),
-            "preprocess.full": "true" if self.preprocess_full else "false",
-            "preprocess.window": str(self.window),
-        })
-        return kv
+        return {**_section_kv("model", self.model),
+                "model.class_count": str(len(CLASS_NAMES)),
+                **_section_kv("train", self.train),
+                "preprocess.full": "true" if self.preprocess_full else "false",
+                "preprocess.window": str(self.window)}
 
     @classmethod
     def from_kv(cls, kv: dict[str, str]) -> "RunSpec":
         unknown = [k for k in kv if k not in _KNOWN_KEYS]
         if unknown:
             raise errors.ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-        model = ModelConfig.from_kv(kv)
-        base = TrainConfig()
         try:
-            train_cfg = TrainConfig(
-                learning_rate=float(kv.get("train.lr", base.learning_rate)),
-                epochs=int(kv.get("train.epochs", base.epochs)),
-                batch_size=int(kv.get("train.batch", base.batch_size)),
-                optimizer=kv.get("train.optimizer", base.optimizer),
-                seed=int(kv.get("train.seed", base.seed)),
-                val_fraction=float(kv.get("train.val_fraction", base.val_fraction)),
-            )
+            if int(kv.get("model.class_count", len(CLASS_NAMES))) != len(CLASS_NAMES):
+                raise errors.ConfigError(f"model.class_count must be {len(CLASS_NAMES)}, "
+                                         f"one per class in {CLASS_NAMES}")
+            model = _section("model", ModelConfig, kv)
+        except (TypeError, ValueError) as exc:
+            raise errors.ConfigError(f"bad model configuration value: {exc}") from exc
+        try:
+            train_cfg = _section("train", TrainConfig, kv)
             full = _parse_bool(kv.get("preprocess.full", "false"))
             window = int(kv.get("preprocess.window", DEFAULT_WINDOW))
         except ValueError as exc:
@@ -93,6 +83,43 @@ class RunSpec:
         if full:
             check_window(window)
         return cls(model, train_cfg, full, window)
+
+
+# the only keys not named ``<section>.<field>``
+_SHORT_KEYS = {"learning_rate": "lr", "batch_size": "batch"}
+
+
+def _key(section: str, name: str) -> str:
+    return f"{section}.{_SHORT_KEYS.get(name, name)}"
+
+
+def _section_kv(section: str, cfg) -> dict[str, str]:
+    """The ``config.txt`` keys of ``section`` that hold ``cfg``'s fields."""
+    return {_key(section, f.name): _format(getattr(cfg, f.name)) for f in fields(cfg)}
+
+
+def _section(section: str, cls, kv: dict[str, str]):
+    """A ``cls`` from the ``section`` keys in ``kv``, defaults for the rest."""
+    return cls(**{f.name: _parse(kv[_key(section, f.name)], f.default)
+                  for f in fields(cls) if _key(section, f.name) in kv})
+
+
+def _format(value) -> str:
+    """A config field's value as ``config.txt`` holds it."""
+    if value is None:
+        return "auto"
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+def _parse(raw: str, default):
+    """``raw`` as a value of ``default``'s type; ``_format`` inverted."""
+    if default is None:
+        return None if raw == "auto" else int(raw)
+    if isinstance(default, tuple):
+        return tuple(int(tok) for tok in raw.split(",") if tok.strip() != "")
+    return type(default)(raw)
 
 
 _KNOWN_KEYS = frozenset(
@@ -106,6 +133,34 @@ def _parse_bool(raw: str) -> bool:
     if value in ("false", "0", "no"):
         return False
     raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def read_kv_file(path) -> dict[str, str]:
+    """Parse `key = value` lines; '#' starts a comment. A key may be set once."""
+    values: dict[str, str] = {}
+    set_on: dict[str, int] = {}
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise errors.ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise errors.ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if key in set_on:
+            raise errors.ConfigError(
+                f"{path}:{lineno}: {key} is already set on line {set_on[key]}")
+        set_on[key] = lineno
+        values[key] = value.strip()
+    return values
+
+
+def _write_kv(path: Path, kv: dict[str, str]) -> None:
+    path.write_text("".join(f"{k} = {v}\n" for k, v in sorted(kv.items())))
 
 
 def resolve_run_spec(config_path, lr, epochs, batch, seed) -> RunSpec:
@@ -263,10 +318,6 @@ def history_csv(history: list[EpochStats]) -> str:
         lines.append(f"{row.epoch},{row.phase},{row.loss:.6f},{row.accuracy:.6f},"
                      f"{row.precision:.6f},{row.recall:.6f},{row.f1:.6f}")
     return "\n".join(lines) + "\n"
-
-
-def _write_kv(path: Path, kv: dict[str, str]) -> None:
-    path.write_text("".join(f"{k} = {v}\n" for k, v in sorted(kv.items())))
 
 
 class _StagingDir:

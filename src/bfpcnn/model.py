@@ -8,8 +8,7 @@ import contextlib
 import mmap
 import os
 import struct
-from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -25,7 +24,7 @@ from .blocks import (
     self_attention,
     spatial_attention,
 )
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .layers import (
     BatchNormParams,
     Conv2DParams,
@@ -97,42 +96,6 @@ class ModelConfig:
             raise ValueError("dropout rates must lie in [0, 1)")
         if self.seed is not None and self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-    def to_kv(self) -> dict[str, str]:
-        kv = {f"model.{f.name}": _format(getattr(self, f.name)) for f in fields(self)}
-        kv["model.class_count"] = str(len(CLASS_NAMES))
-        return kv
-
-    @classmethod
-    def from_kv(cls, kv: dict[str, str]) -> "ModelConfig":
-        base = cls()
-        try:
-            if int(kv.get("model.class_count", len(CLASS_NAMES))) != len(CLASS_NAMES):
-                raise ConfigError(f"model.class_count must be {len(CLASS_NAMES)}, "
-                                  f"one per class in {CLASS_NAMES}")
-            parsed = {f.name: _parse(kv[f"model.{f.name}"], getattr(base, f.name))
-                      for f in fields(cls) if f"model.{f.name}" in kv}
-            return replace(base, **parsed)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad model configuration value: {exc}") from exc
-
-
-def _format(value) -> str:
-    """A config field's value as ``config.txt`` holds it."""
-    if value is None:
-        return "auto"
-    if isinstance(value, tuple):
-        return ",".join(map(str, value))
-    return str(value)
-
-
-def _parse(raw: str, default):
-    """``raw`` as a value of ``default``'s type; ``_format`` inverted."""
-    if default is None:
-        return None if raw == "auto" else int(raw)
-    if isinstance(default, tuple):
-        return tuple(int(tok) for tok in raw.split(",") if tok.strip() != "")
-    return type(default)(raw)
 
 
 # -- layers -------------------------------------------------------------------
@@ -402,26 +365,3 @@ class _Reader:
     def uint(self, fmt: str) -> int:
         """One little-endian unsigned field of struct format ``fmt``."""
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
-
-
-def read_kv_file(path) -> dict[str, str]:
-    """Parse `key = value` lines; '#' starts a comment. A key may be set once."""
-    values: dict[str, str] = {}
-    set_on: dict[str, int] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        if key in set_on:
-            raise ConfigError(f"{path}:{lineno}: {key} is already set on line {set_on[key]}")
-        set_on[key] = lineno
-        values[key] = value.strip()
-    return values

@@ -3,7 +3,6 @@ nearest-neighbor resizing and pixel normalization, plus binary PGM I/O."""
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 
@@ -157,11 +156,9 @@ def read_pgm(path) -> GrayImage:
 def write_pgm(img: GrayImage, path) -> None:
     """Write an 8-bit binary PGM file: P5 header, maxval 255, raw bytes."""
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "wb") as fh:
+    with open(path, "wb") as fh:
         fh.write(header)
         fh.write(img.pixels.tobytes())
-    os.replace(tmp, path)
 
 
 _HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")

@@ -14,6 +14,7 @@ from bfpcnn.blocks import (
     SelfAttentionParams,
     self_attention,
 )
+from bfpcnn.cli import RunSpec, read_kv_file
 from bfpcnn.errors import ConfigError, DataError
 from bfpcnn.model import (
     CLASS_NAMES,
@@ -21,11 +22,10 @@ from bfpcnn.model import (
     build_model,
     forward,
     load_checkpoint,
-    read_kv_file,
     save_checkpoint,
 )
 from bfpcnn.tensor import TapeNode, Tensor
-from bfpcnn.train import cross_entropy_loss
+from bfpcnn.train import TrainConfig, cross_entropy_loss
 
 from util import check_param_grad
 
@@ -654,9 +654,8 @@ class TestCheckpoint:
 
 class TestConfigSerialization:
     def test_kv_roundtrip(self):
-        cfg = tiny_config(seed=17, dense_units=6)
-        back = ModelConfig.from_kv(cfg.to_kv())
-        assert back == cfg
+        spec = RunSpec(tiny_config(seed=17, dense_units=6), TrainConfig(), False, 3)
+        assert RunSpec.from_kv(spec.to_kv()) == spec
 
     def test_kv_roundtrip_every_field_set(self):
         cfg = ModelConfig(
@@ -665,11 +664,16 @@ class TestConfigSerialization:
             sep_blocks=(7,), spatial_filters=5, spatial_kernel=5,
             spatial_dilations=(3, 1, 2), dense_units=9, dropout=0.125,
             attn_dropout=0.3, seed=12)
-        default = ModelConfig()
-        assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))
-        for spatial_filters in (5, None):  # written as a number, then as "auto"
-            changed = replace(cfg, spatial_filters=spatial_filters)
-            assert ModelConfig.from_kv(changed.to_kv()) == changed
+        # an lr whose shortest repr takes all 17 digits
+        train_cfg = TrainConfig(learning_rate=0.1 + 0.2, epochs=3, batch_size=5,
+                                optimizer="sgd", seed=9, val_fraction=0.3)
+        for changed, default in ((cfg, ModelConfig()), (train_cfg, TrainConfig())):
+            assert all(getattr(changed, f.name) != getattr(default, f.name)
+                       for f in fields(changed))
+        # spatial_filters written as a number, then as "auto"
+        for model_cfg in (cfg, replace(cfg, spatial_filters=None)):
+            spec = RunSpec(model_cfg, train_cfg, preprocess_full=True, window=5)
+            assert RunSpec.from_kv(spec.to_kv()) == spec
 
     def test_kv_file_parse(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -691,14 +695,15 @@ class TestConfigSerialization:
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="bad model configuration value: "):
-            ModelConfig.from_kv({"model.input_size": "huge"})
+            RunSpec.from_kv({"model.input_size": "huge"})
 
 
 @pytest.mark.slow
 class TestDefaultConfig:
     def test_default_build_and_forward(self):
         cfg = ModelConfig()
-        assert cfg.input_size == 224 and cfg.to_kv()["model.class_count"] == "4"
+        assert (cfg.input_size == 224
+                and RunSpec(cfg, TrainConfig(), False, 3).to_kv()["model.class_count"] == "4")
         assert cfg.stem_filters == 64 and cfg.stem_kernel == 7
         model = build_model(cfg)
         assert sum(p.size for p in model.parameters()) == expected_param_count(cfg)
